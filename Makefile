@@ -1,6 +1,6 @@
 # Build, test, and smoke-benchmark entry points (used by CI).
 
-.PHONY: all build test test-verify test-tier0 bench-smoke bench ci
+.PHONY: all build test test-verify bench-smoke bench ci
 
 all: build
 
@@ -17,20 +17,14 @@ test:
 test-verify:
 	FLICK_VERIFY_PLANS=1 dune runtest --force
 
-# The whole suite with the tier-1 staged specializer disabled
-# (FLICK_STAGE=0), so the tier-0 interpreter path — the permanent
-# fallback for unstageable plans — stays fully tested even though
-# staging is on by default.
-test-tier0:
-	FLICK_STAGE=0 dune runtest --force
-
 # The fast artifacts: the plan-optimizer/cache report (BENCH_1.json),
 # the scatter-gather wire report (BENCH_2.json), the decode-plan
 # report (BENCH_3.json), the full-matrix pass-trace report (merged
-# into BENCH_1.json), the concurrent-server sweep (BENCH_4.json), and
-# the tiered-execution report (BENCH_5.json) with its staged-vs-tier-0
-# speedup gate, and the forward-relay report (BENCH_6.json) with its
-# fused-vs-materialize throughput and zero-copy gates; the pipeline/
+# into BENCH_1.json), the concurrent-server sweep (BENCH_4.json), the
+# plan-executor report (BENCH_5.json) with its 64KB dirents
+# encode-vs-rpcgen-style speedup gate, and the forward-relay report
+# (BENCH_6.json) with its fused-vs-materialize throughput and
+# zero-copy gates; the pipeline/
 # verifier/engine-equality/pin/scaling/backpressure/byte-identity
 # self-checks make the run exit non-zero on any regression.  The
 # gateway artifact runs twice: first with fusion forced off
@@ -46,11 +40,11 @@ test-tier0:
 # since its recorder-absent baseline is the state before the recorder
 # is ever enabled.  check_bench re-parses every BENCH_*.json and fails
 # on any recorded self-check failure, malformed serve sweep,
-# missing/failed stage or gateway gate, unsound selfdesc matrix, or
+# missing/failed executor or gateway gate, unsound selfdesc matrix, or
 # unreconciled/uncovered tail report.
 bench-smoke:
 	dune exec bench/main.exe -- gateway --smoke --no-forward
-	dune exec bench/main.exe -- planopt sgwire decplan tracematrix serve stage gateway selfdesc tail --smoke
+	dune exec bench/main.exe -- planopt sgwire decplan tracematrix serve executor gateway selfdesc tail --smoke
 	dune exec bench/check_bench.exe
 
 # Every artifact at default sizes (see EXPERIMENTS.md; --full for
@@ -58,4 +52,4 @@ bench-smoke:
 bench:
 	dune exec bench/main.exe
 
-ci: build test test-verify test-tier0 bench-smoke
+ci: build test test-verify bench-smoke

@@ -1982,55 +1982,51 @@ let serve () =
   print_endline "wrote BENCH_4.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* stage - tier-1 staged closures vs the tier-0 plan executor           *)
+(* executor - the plan executor vs the rpcgen-style engine              *)
 (* ------------------------------------------------------------------ *)
 
-(* The tiered-execution artifact: the staged specializer
-   (Stub_opt.staged_encoder_of_plan / staged_decoder_of_dplan) against
-   the tier-0 plan executor on the paper's three workloads, across all
-   three wire encodings, both directions.  Writes BENCH_5.json.
+(* The executor artifact: Stub_opt's serving closures (compile_encoder /
+   compile_decoder — the one executor per direction) against the
+   rpcgen-style engine (Stub_naive) on the paper's three workloads at
+   64KB, across the three fixed wire encodings.  Writes BENCH_5.json.
    Self-checks:
-   - every staged encoder produces byte-identical output to tier 0;
-   - every staged decoder returns Value.equal results and rejects
-     truncated input with the same typed errors as tier 0;
-   - every plan in the matrix has a flat-closure form (the bench
-     workloads are non-recursive, so staging must not fall back);
-   - the tentpole gate: on the 64KB directory workload, the staged
-     encode+decode round trip is >= 1.15x tier 0 for at least two
-     encodings.  (The gate is on the combined time: encode is where
-     specialization pays — constant images, grouped field runs — while
-     decode is dominated by allocating the result values, so staged
-     decode sits near parity and both per-side speedups are recorded
-     per row for inspection.)
-   [--full] adds 1KB rows (small messages must not regress through
-   staging); the 64KB gate rows run in every mode, smoke included. *)
+   - every executor encoding is byte-identical to the naive engine's;
+   - every executor decode returns the input value and rejects
+     truncated input (len-1 and len/2) with a typed error;
+   - the gate: on the 64KB directory workload, executor encode is
+     >= [executor_min_speedup] x Stub_naive encode for at least two
+     encodings.  The threshold is the lowest ratio measured for the
+     staged closure that served this workload before the chunk
+     regrouping moved into the executor; the regrouping (Seg_run over
+     each dirent's fields) is what clears it — without it the executor
+     falls well below.
+   [--full] adds 1KB rows; the 64KB gate rows run in every mode, smoke
+   included. *)
 
-let stage_failed = ref false
+let executor_failed = ref false
+let executor_min_speedup = 6.0
 
-let stage () =
+let executor () =
   print_endline "============================================================";
-  print_endline " stage - tier-1 staged closures vs the tier-0 plan executor";
+  print_endline " executor - the plan executor vs the rpcgen-style engine";
   print_endline "============================================================";
   let check what ok =
     if not ok then begin
-      stage_failed := true;
+      executor_failed := true;
       Printf.printf "  SELF-CHECK FAILED: %s\n" what
     end
   in
   let sizes = if !full then [ 1024; 65536 ] else [ 65536 ] in
-  let min_speedup = 1.15 and need_encodings = 2 in
+  let min_speedup = executor_min_speedup and need_encodings = 2 in
   let json = Buffer.create 4096 in
   Buffer.add_string json
-    (Printf.sprintf
-       "{\n  \"artifact\": \"stage\",\n  \"smoke\": %b,\n\
-       \  \"stage_threshold\": %d,\n  \"rows\": ["
-       !smoke
-       (Opt_config.stage_threshold ()));
+    (Printf.sprintf "{\n  \"artifact\": \"executor\",\n  \"smoke\": %b,\n  \"rows\": ["
+       !smoke);
   Printf.printf "\n%-6s %-13s %9s %-6s %10s %10s %8s\n" "enc" "workload"
-    "wire" "side" "tier0 ns" "staged" "speedup";
+    "wire" "side" "naive ns" "executor" "speedup";
   let first = ref true in
-  (* encoding -> (encode, decode, combined speedup) on 64KB dirents *)
-  let gate_rows : (string * (float * float * float)) list ref = ref [] in
+  (* encoding -> 64KB dirents encode speedup *)
+  let gate_rows : (string * float) list ref = ref [] in
   List.iter
     (fun (ename, enc, style) ->
       let pc = Paper_fixtures.bench_presc style in
@@ -2040,115 +2036,70 @@ let stage () =
           let spec = Paper_fixtures.request_spec pc ~op in
           let mint = spec.Paper_fixtures.ms_mint
           and named = spec.Paper_fixtures.ms_named in
+          let roots = spec.Paper_fixtures.ms_roots
+          and droots = spec.Paper_fixtures.ms_droots in
           List.iter
             (fun bytes ->
               let tag = Printf.sprintf "%s/%s/%dB" ename op bytes in
               let value = Paper_fixtures.payload payload ~bytes in
-              (* -- encode: tier 0 vs staged ------------------------- *)
-              let plan =
-                Plan_cache.plan ~enc ~mint ~named
-                  spec.Paper_fixtures.ms_roots
-              in
-              let enc0 = Stub_opt.encoder_of_plan ~enc plan in
-              let enc1 =
-                match Stub_opt.staged_encoder_of_plan ~enc plan with
-                | Some e -> e
-                | None ->
-                    check (tag ^ ": encode plan has a flat-closure form")
-                      false;
-                    enc0
-              in
-              let buf0 = Mbuf.create (bytes + 8192)
-              and buf1 = Mbuf.create (bytes + 8192) in
-              enc0 buf0 [| value |];
-              enc1 buf1 [| value |];
-              let wire = Mbuf.contents buf0 in
-              let wlen = Bytes.length wire in
-              check (tag ^ ": staged encode byte-identical to tier 0")
-                (Bytes.equal wire (Mbuf.contents buf1));
-              let time_encode which e =
-                let buf = Mbuf.create (bytes + 8192) in
-                let ns =
-                  measure_ns
-                    (tag ^ "/enc/" ^ which)
-                    (fun () ->
-                      Mbuf.reset buf;
-                      e buf [| value |])
-                in
+              let time f =
+                let ns = measure_ns tag f in
                 if Float.is_nan ns then 0. else ns
               in
-              let ns_e0 = time_encode "tier0" enc0 in
-              let ns_e1 = time_encode "staged" enc1 in
-              (* -- decode: tier 0 vs staged ------------------------- *)
-              let droots =
-                List.map
-                  (function
-                    | Stub_opt.Dconst_int (v, k) ->
-                        Dplan_compile.Dconst_int (v, k)
-                    | Stub_opt.Dconst_str s -> Dplan_compile.Dconst_str s
-                    | Stub_opt.Dvalue (i, p) -> Dplan_compile.Dvalue (i, p))
-                  spec.Paper_fixtures.ms_droots
+              (* -- encode ------------------------------------------- *)
+              let enc_x = flick_encoder ~enc ~mint ~named roots
+              and enc_n = naive_encoder ~enc ~mint ~named roots in
+              let encode e =
+                let buf = Mbuf.create (bytes + 8192) in
+                e buf [| value |];
+                Mbuf.contents buf
               in
-              let dplan = Plan_cache.dplan ~enc ~mint ~named droots in
-              let dec0 = Stub_opt.decoder_of_dplan ~enc dplan in
-              let dec1 =
-                match Stub_opt.staged_decoder_of_dplan ~enc dplan with
-                | Some d -> d
-                | None ->
-                    check (tag ^ ": decode plan has a flat-closure form")
-                      false;
-                    dec0
+              let wire = encode enc_x in
+              let wlen = Bytes.length wire in
+              check (tag ^ ": executor bytes identical to naive bytes")
+                (Bytes.equal wire (encode enc_n));
+              let time_encode e =
+                let buf = Mbuf.create (bytes + 8192) in
+                time (fun () ->
+                    Mbuf.reset buf;
+                    e buf [| value |])
               in
-              let v0 = (dec0 (Mbuf.reader_of_bytes wire)).(0) in
-              check (tag ^ ": tier-0 decode returns the input value")
-                (Value.equal v0 value);
-              check (tag ^ ": staged decode = tier-0 decode")
-                (Value.equal (dec1 (Mbuf.reader_of_bytes wire)).(0) v0);
-              let fails d cut =
-                match d (Mbuf.reader_of_bytes ~len:cut wire) with
+              let ns_en = time_encode enc_n and ns_ex = time_encode enc_x in
+              (* -- decode ------------------------------------------- *)
+              let dec_x = flick_decoder ~enc ~mint ~named droots
+              and dec_n = naive_decoder ~enc ~mint ~named droots in
+              check (tag ^ ": executor decode returns the input value")
+                (Value.equal (dec_x (Mbuf.reader_of_bytes wire)).(0) value);
+              let fails cut =
+                match dec_x (Mbuf.reader_of_bytes ~len:cut wire) with
                 | (_ : Value.t array) -> false
                 | exception (Mbuf.Short_buffer | Codec.Decode_error _) ->
                     true
               in
-              check (tag ^ ": staged decode rejects truncated input")
-                (fails dec1 (wlen - 1) && fails dec1 (wlen / 2));
-              check (tag ^ ": tier-0 decode rejects truncated input")
-                (fails dec0 (wlen - 1) && fails dec0 (wlen / 2));
-              let time_decode which d =
-                let ns =
-                  measure_ns
-                    (tag ^ "/dec/" ^ which)
-                    (fun () ->
-                      ignore (d (Mbuf.reader_of_bytes wire) : Value.t array))
-                in
-                if Float.is_nan ns then 0. else ns
+              check (tag ^ ": executor decode rejects truncated input")
+                (fails (wlen - 1) && fails (wlen / 2));
+              let time_decode d =
+                time (fun () ->
+                    ignore (d (Mbuf.reader_of_bytes wire) : Value.t array))
               in
-              let ns_d0 = time_decode "tier0" dec0 in
-              let ns_d1 = time_decode "staged" dec1 in
-              let speedup t0 t1 = if t1 > 0. then t0 /. t1 else 0. in
-              let sp_e = speedup ns_e0 ns_e1
-              and sp_d = speedup ns_d0 ns_d1 in
+              let ns_dn = time_decode dec_n and ns_dx = time_decode dec_x in
+              let speedup naive x = if x > 0. then naive /. x else 0. in
+              let sp_e = speedup ns_en ns_ex and sp_d = speedup ns_dn ns_dx in
               Printf.printf "%-6s %-13s %9d %-6s %10.0f %10.0f %7.2fx\n"
-                ename op wlen "encode" ns_e0 ns_e1 sp_e;
+                ename op wlen "encode" ns_en ns_ex sp_e;
               Printf.printf "%-6s %-13s %9d %-6s %10.0f %10.0f %7.2fx\n"
-                ename op wlen "decode" ns_d0 ns_d1 sp_d;
+                ename op wlen "decode" ns_dn ns_dx sp_d;
               if op = "send_dirents" && bytes = 65536 then
-                gate_rows :=
-                  !gate_rows
-                  @ [
-                      ( ename,
-                        (sp_e, sp_d, speedup (ns_e0 +. ns_d0) (ns_e1 +. ns_d1))
-                      );
-                    ];
+                gate_rows := !gate_rows @ [ (ename, sp_e) ];
               Buffer.add_string json
                 (Printf.sprintf
                    "%s\n    { \"encoding\": %S, \"op\": %S, \"bytes\": %d, \
-                    \"wire_bytes\": %d, \"encode_tier0_ns\": %.0f, \
-                    \"encode_staged_ns\": %.0f, \"encode_speedup\": %.3f, \
-                    \"decode_tier0_ns\": %.0f, \"decode_staged_ns\": %.0f, \
+                    \"wire_bytes\": %d, \"encode_naive_ns\": %.0f, \
+                    \"encode_executor_ns\": %.0f, \"encode_speedup\": %.3f, \
+                    \"decode_naive_ns\": %.0f, \"decode_executor_ns\": %.0f, \
                     \"decode_speedup\": %.3f }"
                    (if !first then "" else ",")
-                   ename op bytes wlen ns_e0 ns_e1 sp_e ns_d0 ns_d1 sp_d);
+                   ename op bytes wlen ns_en ns_ex sp_e ns_dn ns_dx sp_d);
               first := false)
             sizes)
         [ `Ints; `Rects; `Dirents ])
@@ -2158,54 +2109,48 @@ let stage () =
       ("mach3", Encoding.mach3, `Fluke);
     ];
   Buffer.add_string json "\n  ]";
-  (* -- the tentpole gate --------------------------------------------- *)
-  let passing =
-    List.filter (fun (_, (_, _, c)) -> c >= min_speedup) !gate_rows
-  in
+  (* -- the gate ------------------------------------------------------- *)
+  let passing = List.filter (fun (_, sp) -> sp >= min_speedup) !gate_rows in
+  let passed = List.length passing >= need_encodings in
   Printf.printf
-    "\n64KB dirents gate (encode+decode round trip >= %.2fx, >= %d \
-     encodings):\n"
+    "\n64KB dirents gate (executor encode >= %.2fx naive, >= %d encodings):\n"
     min_speedup need_encodings;
   List.iter
-    (fun (ename, (e, d, c)) ->
-      Printf.printf
-        "  %-6s encode %5.2fx  decode %5.2fx  combined %5.2fx  %s\n" ename e
-        d c
-        (if c >= min_speedup then "pass" else "below"))
+    (fun (ename, sp) ->
+      Printf.printf "  %-6s encode %5.2fx  %s\n" ename sp
+        (if sp >= min_speedup then "pass" else "below"))
     !gate_rows;
   check
     (Printf.sprintf
-       "staged encode+decode >= %.2fx tier 0 on 64KB dirents for >= %d \
-        encodings"
+       "executor encode >= %.2fx naive on 64KB dirents for >= %d encodings"
        min_speedup need_encodings)
-    (List.length passing >= need_encodings);
+    passed;
   Buffer.add_string json
     (Printf.sprintf
        ",\n  \"gate\": { \"op\": \"send_dirents\", \"bytes\": 65536, \
+        \"side\": \"encode\", \"baseline\": \"naive\", \
         \"min_speedup\": %.2f, \"required_encodings\": %d, \
         \"rows\": [%s], \"passing_encodings\": [%s], \"passed\": %b }"
        min_speedup need_encodings
        (String.concat ", "
           (List.map
-             (fun (ename, (e, d, c)) ->
-               Printf.sprintf
-                 "{ \"encoding\": %S, \"encode_speedup\": %.3f, \
-                  \"decode_speedup\": %.3f, \"combined_speedup\": %.3f }"
-                 ename e d c)
+             (fun (ename, sp) ->
+               Printf.sprintf "{ \"encoding\": %S, \"encode_speedup\": %.3f }"
+                 ename sp)
              !gate_rows))
        (String.concat ", "
           (List.map (fun (ename, _) -> Printf.sprintf "%S" ename) passing))
-       (List.length passing >= need_encodings));
+       passed);
   Buffer.add_string json
-    (Printf.sprintf ",\n  \"self_check_failed\": %b\n}\n" !stage_failed);
+    (Printf.sprintf ",\n  \"self_check_failed\": %b\n}\n" !executor_failed);
   (match Obs_json.parse (Buffer.contents json) with
   | Ok _ -> ()
   | Error msg -> check (Printf.sprintf "BENCH_5.json parses: %s" msg) false);
   let oc = open_out "BENCH_5.json" in
   Buffer.output_buffer oc json;
   close_out oc;
-  if !stage_failed then
-    print_endline "\nstage: SELF-CHECK FAILURES above; exiting non-zero"
+  if !executor_failed then
+    print_endline "\nexecutor: SELF-CHECK FAILURES above; exiting non-zero"
   else
     print_endline
       "\nall byte-identity, decode-equality, truncation, and speedup-gate \
@@ -2332,19 +2277,7 @@ let gateway () =
                     (tag ^ ": forward verifier clean: "
                     ^ Plan_verify.error_to_string e)
                     false);
-              (* the tier the production wrapper settles on: staged
-                 when staging is enabled and the plan has a flat form
-                 (the baseline's cached encoder/decoder closures promote
-                 the same way under measurement) *)
-              let fused =
-                match
-                  if Opt_config.stage_enabled () then
-                    Stub_forward.staged_forward_of_plan plan
-                  else None
-                with
-                | Some f -> f
-                | None -> Stub_forward.forward_of_plan plan
-              in
+              let fused = Stub_forward.forward_of_plan plan in
               let run_once f =
                 let w = Mbuf.create (wlen + 8192) in
                 f (Mbuf.reader_of_bytes wire) w;
@@ -2526,9 +2459,8 @@ let gateway () =
    - the encode and decode plans are clean under {!Plan_verify}
      (variable emits dominated by covering worst-case reservations);
    - the plan executor's bytes are identical to the naive
-     walk-the-types engine's, and to the staged flat closure's when the
-     plan has one;
-   - tier-0 decode returns the input value ({!Value.equal}) and
+     walk-the-types engine's;
+   - the executor's decode returns the input value ({!Value.equal}) and
      consumes the whole message — no worst-case slack may leak into
      the stream position.
    There is no speedup gate: these encodings trade throughput for
@@ -2601,7 +2533,7 @@ let selfdesc () =
                       false;
                     false
               in
-              (* -- byte identity across the engine tiers ------------- *)
+              (* -- byte identity across the engines ------------------ *)
               let enc0 = Stub_opt.encoder_of_plan ~enc plan in
               let buf0 = Mbuf.create (bytes + 8192) in
               enc0 buf0 [| value |];
@@ -2615,14 +2547,6 @@ let selfdesc () =
               naive bufn [| value |];
               let identical = Bytes.equal wire (Mbuf.contents bufn) in
               check (tag ^ ": plan bytes identical to naive bytes") identical;
-              (match Stub_opt.staged_encoder_of_plan ~enc plan with
-              | Some staged ->
-                  let bufs = Mbuf.create (bytes + 8192) in
-                  staged bufs [| value |];
-                  check
-                    (tag ^ ": staged bytes identical to plan bytes")
-                    (Bytes.equal wire (Mbuf.contents bufs))
-              | None -> ());
               (* -- decode: value equality, whole-message consumption - *)
               let dec0 = Stub_opt.decoder_of_dplan ~enc dplan in
               let r = Mbuf.reader_of_bytes wire in
@@ -3064,7 +2988,7 @@ let artifacts =
     ("fig3", fig3); ("fig4", fig4); ("fig5", fig5); ("fig6", fig6);
     ("fig7", fig7); ("ablations", ablations); ("planopt", planopt);
     ("sgwire", sgwire); ("decplan", decplan); ("tracematrix", tracematrix);
-    ("serve", serve); ("stage", stage); ("gateway", gateway);
+    ("serve", serve); ("executor", executor); ("gateway", gateway);
     ("selfdesc", selfdesc); ("tail", tail);
   ]
 
@@ -3112,6 +3036,6 @@ let () =
   List.iter (fun name -> (List.assoc name artifacts) ()) to_run;
   if
     !planopt_failed || !sgwire_failed || !decplan_failed
-    || !tracematrix_failed || !serve_failed || !stage_failed
+    || !tracematrix_failed || !serve_failed || !executor_failed
     || !gateway_failed || !selfdesc_failed || !tail_failed
   then exit 1

@@ -21,9 +21,7 @@
     fused runs), [forward.borrowed_bytes] / [forward.copied_bytes]
     (payload bytes relayed by reference vs. through memcpy — fixed
     header fields moved inside runs are not payload),
-    [forward.fallback_fields] (materialize executions), and
-    [forward.{promotions,staged_calls,interp_calls}] for the tier
-    machinery. *)
+    [forward.fallback_fields] (materialize executions). *)
 
 type forward = Mbuf.reader -> Mbuf.t -> unit
 (** Relay one message: consume it from the reader, emit it into the
@@ -48,13 +46,8 @@ val forward_plan :
     what the differential tests execute. *)
 
 val forward_of_plan : Fplan.plan -> forward
-(** Tier 0: direct interpretation of the (already optimized) plan. *)
-
-val staged_forward_of_plan : Fplan.plan -> forward option
-(** Tier 1: the op closures fused into one call chain (no dispatch on
-    the hot path).  [None] when the plan contains materialize fallbacks
-    (their embedded plans may carry recursive subroutines); callers
-    fall back to tier 0.  Byte-identical to {!forward_of_plan}. *)
+(** The relay executor: the (already optimized) plan compiled into one
+    closure. *)
 
 val compile_forward :
   ?config:Opt_config.t ->
@@ -68,8 +61,6 @@ val compile_forward :
 (** The front door: fuse, optimize, and cache.  Closures are cached
     under a key covering {e both} fingerprints (source message
     structure + destination encoding name), the scatter-gather policy,
-    the pass selection, the tier policy, and the fusion enable flag —
-    flipping any of them compiles fresh.  When staging is enabled
-    ([FLICK_STAGE]), the returned closure self-promotes to the staged
-    tier at {!Opt_config.stage_threshold} calls, with hotness surviving
-    cache eviction (same contract as {!Stub_opt.compile_encoder}). *)
+    the pass selection, and the fusion enable flag — flipping any of
+    them compiles fresh.  A cache miss builds exactly one closure,
+    {!forward_of_plan} of {!forward_plan}. *)

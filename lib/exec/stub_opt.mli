@@ -4,6 +4,14 @@
     blits for byte runs, tight scalar-array loops, call-free inlined
     control flow except at recursive types).
 
+    There is one executor per direction: a plan compiles once into one
+    closure that serves every call.  Chunk regrouping is a compile-time
+    property of that closure: within a chunk, constants fold into
+    precomputed byte images and runs of 32-bit fields of one aggregate
+    store through an offset/index table after resolving the base once;
+    on decode, runs of 32-bit loads sharing one extension rule fill
+    their slots through one loop.
+
     This engine stands in for running Flick-generated C stubs on the
     paper's testbed; the rpcgen-style ({!Stub_naive}) and interpretive
     ({!Stub_interp}) engines stand in for the compilers Flick was
@@ -54,7 +62,7 @@ val compile_encoder :
     The config's pass selection is part of the closure-cache key, so
     differently configured pipelines never share an encoder.  Encoders
     carry no per-call state, so sharing is safe under any call
-    pattern. *)
+    pattern.  A cache miss builds exactly one closure. *)
 
 val compile_decoder :
   ?config:Opt_config.t ->
@@ -72,38 +80,21 @@ val compile_decoder :
     decode: string/byte-sequence payloads at or above
     {!Mbuf.borrow_threshold} come back as [Value.Vstring_view] /
     [Vbytes_view] aliasing the receive buffer — see the [Mbuf] aliasing
-    contract and {!Value.materialize}. *)
+    contract and {!Value.materialize}.  A cache miss builds exactly one
+    closure. *)
 
 val encoder_of_plan :
   enc:Encoding.t -> Plan_compile.plan -> encoder
-(** Lower-level entry: execute an already compiled plan (used by the
-    ablation benchmarks, which tweak plans). *)
-
-val staged_encoder_of_plan :
-  enc:Encoding.t -> Plan_compile.plan -> encoder option
-(** The tier-1 staged specializer: partially evaluate the plan into
-    flat closures — constants folded into precomputed byte images, runs
-    of 32-bit fields of one aggregate stored through offset/index
-    arrays after resolving the base once, loop/switch bodies fused into
-    single closures, tiny fixed loops unrolled.  Byte-identical to
-    {!encoder_of_plan} on every input.  [None] when the plan has
-    marshal subroutines (recursion has no flat-closure form); callers
-    fall back to tier 0.  {!compile_encoder} installs this
-    automatically once a plan's hotness counter passes
-    {!Opt_config.stage_threshold}. *)
-
-val staged_decoder_of_dplan :
-  enc:Encoding.t -> Dplan.plan -> decoder option
-(** Decode-side twin of {!staged_encoder_of_plan}: chunk loads regroup
-    into fused integer runs, frame op lists become single closures.
-    Decodes identically to {!decoder_of_dplan} on well-formed and
-    malformed input alike; [None] on plans with unmarshal
-    subroutines. *)
+(** Lower-level entry: the executor {!compile_encoder} caches, applied
+    to an already compiled plan (used by the ablation benchmarks, which
+    tweak plans, and by the forward relay's materialize fallback). *)
 
 val decoder_of_dplan :
   enc:Encoding.t -> Dplan.plan -> decoder
-(** Lower-level entry: execute an already compiled decode plan (used by
-    the ablation benchmarks, which tweak plans). *)
+(** Lower-level entry: the executor {!compile_decoder} caches, applied
+    to an already compiled decode plan (used by the ablation benchmarks,
+    which tweak plans, and by the forward relay's materialize
+    fallback). *)
 
 val build_decoder :
   enc:Encoding.t ->

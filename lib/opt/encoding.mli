@@ -44,7 +44,7 @@ type varcodec = {
           reserved the atom's worst case *)
   v_get_int : signed:bool -> Mbuf.reader -> int64;
       (** incremental checked parse; rejects non-minimal encodings so
-          every decoder tier accepts exactly the same inputs *)
+          every decoder engine accepts exactly the same inputs *)
   v_put_bool : check:bool -> Mbuf.t -> bool -> unit;
   v_get_bool : Mbuf.reader -> bool;
   v_put_float : check:bool -> bits:int -> Mbuf.t -> float -> unit;

@@ -17,17 +17,13 @@
    for both sides, not hit rates on one and nothing on the other.
    [evictions] counts entries lost; [resets] counts the overflow events
    that lost them, so one mass-eviction is distinguishable from
-   sustained churn.  [promotions] counts in-place re-installs of an
-   already-cached entry (tier promotion re-binding a key to its staged
-   closure); they are deliberately not lookups, so they leave hits,
-   misses and the hit rate untouched. *)
+   sustained churn. *)
 type stats = {
   hits : int;
   misses : int;
   entries : int;
   evictions : int;
   resets : int;
-  promotions : int;
 }
 
 let hit_rate st =
@@ -37,15 +33,10 @@ type 'a t = {
   name : string;
   tbl : (string, 'a) Hashtbl.t;
   max_entries : int;
-  (* per-key call counts driving tier promotion: kept outside [tbl] so
-     an overflow reset does not zero a plan's hotness — a hot plan that
-     gets recompiled after churn re-promotes immediately *)
-  hot : (string, int ref) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
   mutable resets : int;
-  mutable promotions : int;
 }
 
 let registry : (string * (unit -> stats) * (unit -> unit)) list ref = ref []
@@ -57,7 +48,6 @@ let cache_stats c =
     entries = Hashtbl.length c.tbl;
     evictions = c.evictions;
     resets = c.resets;
-    promotions = c.promotions;
   }
 
 let create ~name ?(max_entries = 512) () =
@@ -66,22 +56,18 @@ let create ~name ?(max_entries = 512) () =
       name;
       tbl = Hashtbl.create 64;
       max_entries;
-      hot = Hashtbl.create 64;
       hits = 0;
       misses = 0;
       evictions = 0;
       resets = 0;
-      promotions = 0;
     }
   in
   let reset () =
     Hashtbl.reset c.tbl;
-    Hashtbl.reset c.hot;
     c.hits <- 0;
     c.misses <- 0;
     c.evictions <- 0;
-    c.resets <- 0;
-    c.promotions <- 0
+    c.resets <- 0
   in
   registry := !registry @ [ (name, (fun () -> cache_stats c), reset) ];
   c
@@ -106,32 +92,6 @@ let find_or_add c key build =
       Hashtbl.add c.tbl key v;
       v
 
-(* Per-key promotion counter.  The ref is what staged-promotion
-   wrappers capture at compile time, so the count keeps accumulating
-   across closure-cache evictions (the whole point of keeping [hot]
-   outside the value table).  Bounded separately from [max_entries]:
-   churny keys that never get hot are dropped in bulk, which at worst
-   delays a re-compiled plan's promotion by one threshold's worth of
-   calls. *)
-let max_hot_entries = 4096
-
-let hotness c key =
-  match Hashtbl.find_opt c.hot key with
-  | Some r -> r
-  | None ->
-      if Hashtbl.length c.hot >= max_hot_entries then Hashtbl.reset c.hot;
-      let r = ref 0 in
-      Hashtbl.add c.hot key r;
-      r
-
-(* Re-install a (possibly rewritten) value for a key that is already
-   cached.  This is tier promotion's hook: it must NOT read as cache
-   traffic — a promotion is not a lookup, and counting it as a hit
-   would inflate [hit_rate] (pinned by test_serve's shadow model). *)
-let promote c key v =
-  Hashtbl.replace c.tbl key v;
-  c.promotions <- c.promotions + 1
-
 let all_stats () = List.map (fun (n, st, _) -> (n, st ())) !registry
 let reset_all () = List.iter (fun (_, _, reset) -> reset ()) !registry
 
@@ -148,7 +108,6 @@ let () =
             (name ^ ".entries", float_of_int st.entries);
             (name ^ ".evictions", float_of_int st.evictions);
             (name ^ ".resets", float_of_int st.resets);
-            (name ^ ".promotions", float_of_int st.promotions);
             (name ^ ".hit_rate", hit_rate st);
           ])
         (all_stats ()))
