@@ -311,7 +311,12 @@ and compile_array st ~elem ~min_len ~max_len (pres : Pres.t) =
           let slot = fresh_slot st in
           emit st
             (Dplan.D_get_atom_array
-               { count = Dplan.Dc_fixed min_len; atom; slot });
+               {
+                 count = Dplan.Dc_fixed min_len;
+                 atom;
+                 headed = st.enc.Encoding.var <> None;
+                 slot;
+               });
           lose_alignment st (min atom.Mplan.size 4);
           Dplan.Sh_slot slot
       | None -> compile_loop st (Dplan.Dc_fixed min_len) elem sub)
@@ -341,6 +346,7 @@ and compile_array st ~elem ~min_len ~max_len (pres : Pres.t) =
                  {
                    count = Dplan.Dc_len { min_len = 0; max_len; what = "array" };
                    atom;
+                   headed = st.enc.Encoding.var <> None;
                    slot;
                  });
             lose_alignment st (min atom.Mplan.size 4);

@@ -240,7 +240,8 @@ let rec d_exact_advance_op (op : Dplan.dop) : int option =
   | Dplan.D_chunk { size; _ } -> Some size
   | Dplan.D_loop { count = Dplan.Dc_fixed n; frame; _ } ->
       Option.map (fun u -> n * u) (d_exact_advance frame.Dplan.f_ops)
-  | Dplan.D_get_atom_array { count = Dplan.Dc_fixed n; atom; _ }
+  | Dplan.D_get_atom_array
+      { count = Dplan.Dc_fixed n; atom; headed = false; _ }
     when atom.Mplan.align <= 1 ->
       Some (n * atom.Mplan.size)
   | _ -> None
@@ -352,7 +353,7 @@ let rec check_frame path ~subs ~covered (f : Dplan.frame) =
     | Dplan.D_get_byteseq { count; slot; _ } ->
         check_dcount path count;
         write path slot
-    | Dplan.D_get_atom_array { count; atom; slot } ->
+    | Dplan.D_get_atom_array { count; atom; slot; _ } ->
         check_dcount path count;
         check_atom path atom;
         (* the array op reads elements at a fixed stride of [size]
