@@ -1,6 +1,6 @@
 # Build, test, and smoke-benchmark entry points (used by CI).
 
-.PHONY: all build test test-verify bench-smoke bench ci
+.PHONY: all build test test-verify bench-smoke rpcbench-smoke bench ci
 
 all: build
 
@@ -47,9 +47,25 @@ bench-smoke:
 	dune exec bench/main.exe -- planopt sgwire decplan tracematrix serve executor gateway selfdesc tail --smoke
 	dune exec bench/check_bench.exe
 
+# The wall-clock RPC benchmark, three seconds per BENCHMARK.json
+# workload: the served paths end to end.  Fails when a run reports
+# "correct": false (a reply not byte-identical to its request, an
+# unbalanced Mbuf pool, a plan-cache miss in the timed phase, ...).
+RPCBENCH_WORKLOADS = rpc_bulk gateway_xenc selfdesc_rpc
+
+rpcbench-smoke:
+	@for w in $(RPCBENCH_WORKLOADS); do \
+	  out=$$(bash rpcbench/run.sh --workload $$w --seconds 3 --trace 0 | tail -n 1) || \
+	    { echo "rpcbench-smoke: $$w exited non-zero"; exit 1; }; \
+	  case "$$out" in \
+	    '{"correct": true,'*) echo "rpcbench-smoke: $$w correct" ;; \
+	    *) echo "rpcbench-smoke: $$w not correct: $$out"; exit 1 ;; \
+	  esac; \
+	done
+
 # Every artifact at default sizes (see EXPERIMENTS.md; --full for
 # paper-scale sweeps).
 bench:
 	dune exec bench/main.exe
 
-ci: build test test-verify bench-smoke
+ci: build test test-verify bench-smoke rpcbench-smoke

@@ -1156,17 +1156,16 @@ let sgwire () =
      chunked plan against the per-datum plan (the decode mirror of the
      planopt node counts);
    - decode time per message for the plan-driven decoder against the
-     closure-tree baseline it replaces and the naive and interpretive
-     engines;
+     naive (rpcgen-style) and interpretive engines;
    - reader-side copy accounting for large string/byte-sequence
      payloads decoded with zero-copy views against the copying path,
      with throughput both ways ([--no-views] skips the view cells);
-   - small-message decode times (plan vs closure) that must not regress;
+   - small-message decode times (plan vs naive) that must not regress;
    - decoder-closure and decode-plan cache hit rates on a repeated
      stub-compilation workload;
-   - engine self-checks: all four decoders must agree on Value.equal,
-     truncated messages must fail to decode in both plan and closure
-     paths, a view decode must equal its copying decode, and a >=64KB
+   - engine self-checks: the plan, naive and interpretive decoders must
+     agree on Value.equal, truncated messages must fail to decode in the
+     plan decoder, a view decode must equal its copying decode, and a >=64KB
      payload decoded with views on must copy zero payload bytes.  Any
      failure makes the whole run exit non-zero.
    [--smoke] shrinks the payloads so CI can run it in a few seconds. *)
@@ -1188,11 +1187,6 @@ let decplan () =
     let old = Mbuf.sg_enabled () in
     Mbuf.set_sg_enabled on;
     Fun.protect ~finally:(fun () -> Mbuf.set_sg_enabled old) f
-  in
-  let to_droot = function
-    | Stub_opt.Dconst_int (v, k) -> Dplan_compile.Dconst_int (v, k)
-    | Stub_opt.Dconst_str s -> Dplan_compile.Dconst_str s
-    | Stub_opt.Dvalue (i, p) -> Dplan_compile.Dvalue (i, p)
   in
   let plan_totals (p : Dplan.plan) count =
     count p.Dplan.d_ops
@@ -1219,7 +1213,7 @@ let decplan () =
       List.iter
         (fun op ->
           let spec = Paper_fixtures.request_spec pc ~op in
-          let droots = List.map to_droot spec.Paper_fixtures.ms_droots in
+          let droots = spec.Paper_fixtures.ms_droots in
           let compile chunked =
             let p =
               Dplan_compile.compile ~enc ~mint:spec.Paper_fixtures.ms_mint
@@ -1269,8 +1263,8 @@ let decplan () =
 
   (* -- differential self-check + decode throughput ------------------- *)
   let bytes = if !smoke then 4096 else 65536 in
-  Printf.printf "\n%-6s %-13s %9s %10s %10s %10s %10s %9s\n" "enc" "workload"
-    "wire" "plan ns" "closure" "naive" "interp" "plan MB/s";
+  Printf.printf "\n%-6s %-13s %9s %10s %10s %10s %9s\n" "enc" "workload"
+    "wire" "plan ns" "naive" "interp" "plan MB/s";
   Buffer.add_string json ",\n  \"throughput\": [";
   first := true;
   List.iter
@@ -1292,7 +1286,6 @@ let decplan () =
           in
           let droots = spec.Paper_fixtures.ms_droots in
           let dec_plan = Stub_opt.compile_decoder ~enc ~mint ~named droots in
-          let dec_closure = Stub_opt.build_decoder ~enc ~mint ~named droots in
           let dec_naive = naive_decoder ~enc ~mint ~named droots in
           let dec_interp =
             Stub_interp.compile_decoder ~enc ~mint ~named droots
@@ -1302,9 +1295,6 @@ let decplan () =
           check
             (Printf.sprintf "%s/%s: plan decode = input value" ename op)
             (Value.equal v_plan value);
-          check
-            (Printf.sprintf "%s/%s: plan decode = closure decode" ename op)
-            (Value.equal v_plan (decode dec_closure));
           check
             (Printf.sprintf "%s/%s: plan decode = naive decode" ename op)
             (Value.equal v_plan (decode dec_naive));
@@ -1322,9 +1312,6 @@ let decplan () =
           check
             (Printf.sprintf "%s/%s: plan rejects truncated input" ename op)
             (fails dec_plan (wlen - 1) && fails dec_plan (wlen / 2));
-          check
-            (Printf.sprintf "%s/%s: closure rejects truncated input" ename op)
-            (fails dec_closure (wlen - 1) && fails dec_closure (wlen / 2));
           let time label d =
             let ns =
               measure_ns label (fun () ->
@@ -1333,21 +1320,18 @@ let decplan () =
             if Float.is_nan ns then 0. else ns
           in
           let ns_plan = time (ename ^ "/" ^ op ^ "/plan") dec_plan in
-          let ns_closure = time (ename ^ "/" ^ op ^ "/closure") dec_closure in
           let ns_naive = time (ename ^ "/" ^ op ^ "/naive") dec_naive in
           let ns_interp = time (ename ^ "/" ^ op ^ "/interp") dec_interp in
           let mb_plan = if ns_plan > 0. then mbps wlen ns_plan else 0. in
-          Printf.printf "%-6s %-13s %9d %10.0f %10.0f %10.0f %10.0f %9.1f\n"
-            ename op wlen ns_plan ns_closure ns_naive ns_interp mb_plan;
+          Printf.printf "%-6s %-13s %9d %10.0f %10.0f %10.0f %9.1f\n"
+            ename op wlen ns_plan ns_naive ns_interp mb_plan;
           Buffer.add_string json
             (Printf.sprintf
                "%s\n    { \"encoding\": %S, \"op\": %S, \"bytes\": %d, \
-                \"wire_bytes\": %d, \"plan_ns\": %.0f, \"closure_ns\": %.0f, \
-                \"naive_ns\": %.0f, \"interp_ns\": %.0f, \"plan_mbps\": %.1f \
-                }"
+                \"wire_bytes\": %d, \"plan_ns\": %.0f, \"naive_ns\": %.0f, \
+                \"interp_ns\": %.0f, \"plan_mbps\": %.1f }"
                (if !first then "" else ",")
-               ename op bytes wlen ns_plan ns_closure ns_naive ns_interp
-               mb_plan);
+               ename op bytes wlen ns_plan ns_naive ns_interp mb_plan);
           first := false)
         [ `Ints; `Rects; `Dirents ])
     [ ("xdr", Encoding.xdr, `Rpcgen); ("cdr", Encoding.cdr, `Corba) ];
@@ -1460,7 +1444,7 @@ let decplan () =
 
   (* -- small messages: the plan path must not cost on the fast path -- *)
   Printf.printf "\n%-13s %6s %10s %10s %7s\n" "workload" "bytes" "plan ns"
-    "closure" "ratio";
+    "naive" "ratio";
   Buffer.add_string json ",\n  \"small\": [";
   first := true;
   List.iter
@@ -1482,9 +1466,7 @@ let decplan () =
       let dec_plan =
         Stub_opt.compile_decoder ~enc:Encoding.xdr ~mint ~named droots
       in
-      let dec_closure =
-        Stub_opt.build_decoder ~enc:Encoding.xdr ~mint ~named droots
-      in
+      let dec_naive = naive_decoder ~enc:Encoding.xdr ~mint ~named droots in
       let time label d =
         (* warm both cells so measurement order does not bias the pair *)
         ignore
@@ -1498,16 +1480,16 @@ let decplan () =
         if Float.is_nan ns then 0. else ns
       in
       let ns_plan = time (op ^ "/small/plan") dec_plan in
-      let ns_closure = time (op ^ "/small/closure") dec_closure in
-      let ratio = if ns_closure > 0. then ns_plan /. ns_closure else 0. in
+      let ns_naive = time (op ^ "/small/naive") dec_naive in
+      let ratio = if ns_naive > 0. then ns_plan /. ns_naive else 0. in
       Printf.printf "%-13s %6d %10.0f %10.0f %7.2f\n" op bytes ns_plan
-        ns_closure ratio;
+        ns_naive ratio;
       Buffer.add_string json
         (Printf.sprintf
            "%s\n    { \"op\": %S, \"bytes\": %d, \"plan_ns\": %.0f, \
-            \"closure_ns\": %.0f, \"plan_vs_closure\": %.2f }"
+            \"naive_ns\": %.0f, \"plan_vs_naive\": %.2f }"
            (if !first then "" else ",")
-           op bytes ns_plan ns_closure ratio);
+           op bytes ns_plan ns_naive ratio);
       first := false)
     [ (`Ints, 64); (`Dirents, 256) ];
   Buffer.add_string json "\n  ]";
@@ -1532,7 +1514,7 @@ let decplan () =
             ignore
               (Plan_cache.dplan ~enc ~mint:spec.Paper_fixtures.ms_mint
                  ~named:spec.Paper_fixtures.ms_named
-                 (List.map to_droot spec.Paper_fixtures.ms_droots)
+                 spec.Paper_fixtures.ms_droots
                 : Dplan.plan))
           [ "send_ints"; "send_rects"; "send_dirents" ])
       [ ("xdr", Encoding.xdr, `Rpcgen); ("cdr", Encoding.cdr, `Corba) ]
@@ -1739,13 +1721,7 @@ let tracematrix () =
               let draw =
                 Dplan_compile.compile ~enc ~mint:spec.Paper_fixtures.ms_mint
                   ~named:spec.Paper_fixtures.ms_named ~chunked
-                  (List.map
-                     (function
-                       | Stub_opt.Dconst_int (v, k) ->
-                           Dplan_compile.Dconst_int (v, k)
-                       | Stub_opt.Dconst_str s -> Dplan_compile.Dconst_str s
-                       | Stub_opt.Dvalue (i, p) -> Dplan_compile.Dvalue (i, p))
-                     spec.Paper_fixtures.ms_droots)
+                  spec.Paper_fixtures.ms_droots
               in
               do_side ~ename ~op ~mode ~side:Pass.decode_side
                 ~run:(fun ~config ~on_trace p ->
@@ -2245,9 +2221,7 @@ let gateway () =
           let mint = spec.Paper_fixtures.ms_mint
           and named = spec.Paper_fixtures.ms_named in
           let roots = spec.Paper_fixtures.ms_roots in
-          let droots =
-            List.map Stub_opt.to_dplan_droot spec.Paper_fixtures.ms_droots
-          in
+          let droots = spec.Paper_fixtures.ms_droots in
           List.iter
             (fun bytes ->
               let tag = Printf.sprintf "%s->%s/%s/%dB" sname dname op bytes in
@@ -2513,16 +2487,10 @@ let selfdesc () =
                       false;
                     false
               in
-              let droots =
-                List.map
-                  (function
-                    | Stub_opt.Dconst_int (v, k) ->
-                        Dplan_compile.Dconst_int (v, k)
-                    | Stub_opt.Dconst_str s -> Dplan_compile.Dconst_str s
-                    | Stub_opt.Dvalue (i, p) -> Dplan_compile.Dvalue (i, p))
+              let dplan =
+                Plan_cache.dplan ~enc ~mint ~named
                   spec.Paper_fixtures.ms_droots
               in
-              let dplan = Plan_cache.dplan ~enc ~mint ~named droots in
               let dplan_ok =
                 match Plan_verify.check_dplan dplan with
                 | Ok () -> true

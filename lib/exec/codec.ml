@@ -159,6 +159,9 @@ let check_bounds ~what n ~min_len ~max_len =
       raise (Decode_error (Printf.sprintf "%s exceeds its bound" what))
   | Some _ | None -> ()
 
+let admit_count r ~width n =
+  if width > 0 && n > Mbuf.remaining r / width then raise Mbuf.Short_buffer
+
 let skip_pad r ~pad_unit n =
   let padded = (n + pad_unit - 1) / pad_unit * pad_unit in
   if padded > n then Mbuf.skip r (padded - n)
@@ -227,11 +230,3 @@ let const_to_value (c : Mint.const) : Value.t =
   | Mint.Cbool b -> Value.Vbool b
   | Mint.Cchar c -> Value.Vchar c
   | Mint.Cstring s -> Value.Vstring s
-
-let const_matches (c : Mint.const) (v : Value.t) =
-  match (c, v) with
-  | Mint.Cint n, Value.Vint m -> Int64.to_int n = m
-  | Mint.Cbool b, Value.Vbool b' -> b = b'
-  | Mint.Cchar c, Value.Vchar c' -> c = c'
-  | Mint.Cstring s, Value.Vstring s' -> String.equal s s'
-  | _, _ -> false

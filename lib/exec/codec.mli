@@ -36,9 +36,9 @@ val read_i32s :
 val as_int : Value.t -> int
 val as_int64 : Value.t -> int64
 
-(** Length/padding helpers shared by every decode engine (closure-tree,
-    plan-compiled, rpcgen-style), so the wire conventions for counted
-    data live in exactly one place. *)
+(** Length/padding helpers shared by every decode engine (plan-compiled,
+    rpcgen-style, interpretive) and the forward relay, so the wire
+    conventions for counted data live in exactly one place. *)
 
 val read_len : Mbuf.reader -> be:bool -> align:int -> int
 (** Aligned 32-bit count read; rejects negative counts with
@@ -47,6 +47,15 @@ val read_len : Mbuf.reader -> be:bool -> align:int -> int
 val check_bounds :
   what:string -> int -> min_len:int -> max_len:int option -> unit
 (** Enforce a decoded count against the type's declared bounds. *)
+
+val admit_count : Mbuf.reader -> width:int -> int -> unit
+(** [admit_count r ~width n] admits a wire count of [n] elements, each at
+    least [width] bytes on the wire, before anything is allocated for
+    them: it raises [Mbuf.Short_buffer] when fewer than [n * width] bytes
+    remain, so a hostile count costs no more than the bytes it arrived
+    in.  [width] is the atom size on fixed encodings and 1 on msgpack and
+    CBOR, where every item has at least a head byte; [width = 0] admits
+    any count. *)
 
 val skip_pad : Mbuf.reader -> pad_unit:int -> int -> unit
 (** Skip the trailing padding of an [n]-byte variable-length run up to
@@ -79,4 +88,3 @@ val write_vlen :
 val read_vlen : Encoding.varcodec -> Encoding.lenkind -> Mbuf.reader -> int
 
 val const_to_value : Mint.const -> Value.t
-val const_matches : Mint.const -> Value.t -> bool

@@ -257,6 +257,7 @@ let rec compile_op ~(src : Encoding.t) ~(dst : Encoding.t) (op : Fplan.fop) :
         | _, _ ->
             fun r w ->
               let n = get_n r in
+              Codec.admit_count r ~width:ssize n;
               dst_pre w n;
               let elems = Array.make (max n 1) Value.Vvoid in
               for i = 0 to n - 1 do

@@ -370,7 +370,7 @@ let compile_encoder ?(config = default_config) ~enc ~mint ~named roots :
 (* Decoding: one closure and one checked read per datum                 *)
 (* ------------------------------------------------------------------ *)
 
-let compile_value_decoder cfg (enc : Encoding.t) mint named :
+let value_decoder cfg (enc : Encoding.t) mint named :
     Mint.idx -> Pres.t -> Mbuf.reader -> Value.t =
   let be = enc.Encoding.big_endian in
   let atom_of kind = Plan_compile.atom_of enc kind in
@@ -544,7 +544,7 @@ let compile_value_decoder cfg (enc : Encoding.t) mint named :
               skip_pad r min_len;
               Value.Vbytes b
         | _ ->
-            let d = elem_decoder elem sub in
+            let d, width = elem_decoder elem sub in
             let as_int_array =
               match Mint.get mint elem with
               | Mint.Int { bits; _ } when bits <= 32 -> true
@@ -552,7 +552,7 @@ let compile_value_decoder cfg (enc : Encoding.t) mint named :
             in
             fun r ->
               hdr r;
-              decode_elements d r min_len as_int_array)
+              decode_elements d ~width r min_len as_int_array)
     | Pres.Counted_seq { elem = sub; _ } -> (
         match Mint.get mint elem with
         | Mint.Char8 | Mint.Int { bits = 8; _ } ->
@@ -564,7 +564,7 @@ let compile_value_decoder cfg (enc : Encoding.t) mint named :
               skip_pad r n;
               Value.Vbytes b
         | _ ->
-            let d = elem_decoder elem sub in
+            let d, width = elem_decoder elem sub in
             let as_int_array =
               match Mint.get mint elem with
               | Mint.Int { bits; _ } when bits <= 32 -> true
@@ -574,16 +574,20 @@ let compile_value_decoder cfg (enc : Encoding.t) mint named :
               hdr r;
               let n = read_len r in
               check_max "sequence" n max_len;
-              decode_elements d r n as_int_array)
+              decode_elements d ~width r n as_int_array)
     | Pres.Direct | Pres.Enum_direct | Pres.Struct _ | Pres.Union _
     | Pres.Void | Pres.Ref _ ->
         invalid_arg "Stub_naive: array PRES mismatch"
   and elem_decoder elem sub =
-    (* array elements carry no Mach descriptor of their own *)
+    (* array elements carry no Mach descriptor of their own; the width is
+       the fewest wire bytes one element takes, for count admission
+       (0, admitting any count, for aggregate elements) *)
     match Encoding.atom_of_mint (Mint.get mint elem) with
-    | Some kind -> read_scalar kind
-    | None -> dec elem sub
-  and decode_elements d r n as_int_array =
+    | Some kind ->
+        (read_scalar kind, if vc <> None then 1 else (atom_of kind).Mplan.size)
+    | None -> (dec elem sub, 0)
+  and decode_elements d ~width r n as_int_array =
+    Codec.admit_count r ~width n;
     if as_int_array then begin
       let out = Array.make n 0 in
       for i = 0 to n - 1 do
@@ -604,7 +608,7 @@ let compile_value_decoder cfg (enc : Encoding.t) mint named :
 let compile_decoder ?(config = default_config) ~enc ~mint ~named droots :
     Stub_opt.decoder =
   let be = enc.Encoding.big_endian in
-  let dec_val = compile_value_decoder config enc mint named in
+  let dec_val = value_decoder config enc mint named in
   let atom_of kind = Plan_compile.atom_of enc kind in
   let hdr r =
     if enc.Encoding.typed_headers then begin

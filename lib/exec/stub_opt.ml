@@ -1,7 +1,7 @@
 type encoder = Mbuf.t -> Value.t array -> unit
 type decoder = Mbuf.reader -> Value.t array
 
-type droot =
+type droot = Dplan_compile.droot =
   | Dconst_int of int64 * Encoding.atom_kind
   | Dconst_str of string
   | Dvalue of Mint.idx * Pres.t
@@ -913,401 +913,9 @@ let compile_encoder ?config ~enc ~mint ~named roots : encoder =
 
 (* The count/bounds/padding conventions live in Codec (read_len,
    check_bounds, skip_pad), shared with the rpcgen-style and
-   interpretive engines. *)
+   interpretive engines.
 
-let compile_value_decoder ~(enc : Encoding.t) ~mint
-    ~(named : (string * (Mint.idx * Pres.t)) list) root_idx root_pres :
-    Mbuf.reader -> Value.t =
-  let be = enc.Encoding.big_endian in
-  let vc = enc.Encoding.var in
-  let atom_of kind = Plan_compile.atom_of enc kind in
-  let hdr =
-    if enc.Encoding.typed_headers then fun r ->
-      Mbuf.ralign r 4;
-      Mbuf.skip r 4
-    else fun _ -> ()
-  in
-  (* the var-aware primitives, shared with the plan-driven decoder so
-     this closure-tree baseline accepts exactly the same inputs *)
-  let read_scalar kind : Mbuf.reader -> Value.t =
-    match vc with
-    | Some vcc -> fun r -> Codec.read_var vcc kind r
-    | None ->
-        let atom = atom_of kind in
-        fun r -> Codec.read_stream r ~be atom
-  in
-  let get_arr_len =
-    match vc with
-    | Some vcc -> fun r -> Codec.read_vlen vcc Encoding.Larr r
-    | None -> fun r -> Codec.read_len r ~be ~align:4
-  in
-  let read_opt =
-    match vc with
-    | Some vcc ->
-        fun r ->
-          let at = Mbuf.rpos r in
-          (Codec.read_vlen vcc Encoding.Larr r, at)
-    | None ->
-        fun r ->
-          Mbuf.ralign r 4;
-          let at = Mbuf.rpos r in
-          (Codec.read_len r ~be ~align:4, at)
-  in
-  let read_key =
-    match vc with
-    | Some vcc ->
-        fun r -> Mbuf.read_string r (Codec.read_vlen vcc Encoding.Lstr r)
-    | None ->
-        let nul = enc.Encoding.string_nul in
-        let pad_unit = enc.Encoding.pad_unit in
-        fun r ->
-          let wire_len = Codec.read_len r ~be ~align:4 in
-          let data_len = if nul then wire_len - 1 else wire_len in
-          if data_len < 0 then raise (Codec.Decode_error "bad key length");
-          let key = Mbuf.read_string r data_len in
-          if nul then Mbuf.skip r 1;
-          Codec.skip_pad r ~pad_unit wire_len;
-          key
-  in
-  let subs : (string, (Mbuf.reader -> Value.t) ref) Hashtbl.t = Hashtbl.create 4 in
-  let rec dec idx (pres : Pres.t) : Mbuf.reader -> Value.t =
-    let def = Mint.get mint idx in
-    match (def, pres) with
-    | _, Pres.Ref name -> (
-        match Hashtbl.find_opt subs name with
-        | Some cell -> fun r -> !cell r
-        | None -> (
-            match List.assoc_opt name named with
-            | None -> invalid_arg ("Stub_opt: unknown presentation " ^ name)
-            | Some (sidx, spres) ->
-                let cell = ref (fun _ -> Value.Vvoid) in
-                Hashtbl.add subs name cell;
-                let d = dec sidx spres in
-                cell := d;
-                fun r -> !cell r))
-    | Mint.Void, _ -> fun _ -> Value.Vvoid
-    | (Mint.Bool | Mint.Char8 | Mint.Int _ | Mint.Float _), _ -> (
-        match Encoding.atom_of_mint def with
-        | Some kind ->
-            let get = read_scalar kind in
-            fun r ->
-              hdr r;
-              get r
-        | None -> assert false)
-    | Mint.Array { elem; min_len; max_len }, _ ->
-        dec_array ~elem ~min_len ~max_len pres
-    | Mint.Struct fields, Pres.Struct arms ->
-        let decs =
-          Array.of_list
-            (List.map2 (fun (_, fidx) (_, sub) -> dec fidx sub) fields arms)
-        in
-        fun r ->
-          let n = Array.length decs in
-          let out = Array.make n Value.Vvoid in
-          for i = 0 to n - 1 do
-            out.(i) <- decs.(i) r
-          done;
-          Value.Vstruct out
-    | ( Mint.Union { discrim; cases; default },
-        Pres.Union { arms; default_arm; _ } ) ->
-        dec_union ~discrim ~cases ~default ~arms ~default_arm
-    | (Mint.Struct _ | Mint.Union _), _ ->
-        invalid_arg "Stub_opt: PRES does not match MINT"
-  and dec_array ~elem ~min_len ~max_len (pres : Pres.t) =
-    let pad_unit = enc.Encoding.pad_unit in
-    let skip_pad r n = Codec.skip_pad r ~pad_unit n in
-    match pres with
-    | (Pres.Terminated_string | Pres.Terminated_string_len _)
-      when vc <> None ->
-        let vcc = Option.get vc in
-        fun r ->
-          hdr r;
-          let n = Codec.read_vlen vcc Encoding.Lstr r in
-          Codec.check_bounds ~what:"string" n ~min_len:0 ~max_len;
-          Value.Vstring (Mbuf.read_string r n)
-    | Pres.Terminated_string | Pres.Terminated_string_len _ ->
-        let nul = enc.Encoding.string_nul in
-        fun r ->
-          hdr r;
-          let wire_len = Codec.read_len r ~be ~align:4 in
-          let data_len = if nul then wire_len - 1 else wire_len in
-          if data_len < 0 then raise (Codec.Decode_error "bad string length");
-          Codec.check_bounds ~what:"string" data_len ~min_len:0 ~max_len;
-          let s = Mbuf.read_string r data_len in
-          if nul then Mbuf.skip r 1;
-          skip_pad r wire_len;
-          Value.Vstring s
-    | Pres.Fixed_array sub -> (
-        match Mint.get mint elem with
-        | Mint.Char8 | Mint.Int { bits = 8; _ } ->
-            fun r ->
-              hdr r;
-              let b = Mbuf.read_bytes r min_len in
-              skip_pad r min_len;
-              Value.Vbytes b
-        | _ -> (
-            match Encoding.atom_of_mint (Mint.get mint elem) with
-            | Some kind -> dec_scalar_array ~fixed:(Some min_len) ~max_len kind
-            | None ->
-                let d = dec elem sub in
-                fun r ->
-                  hdr r;
-                  let out = Array.make min_len Value.Vvoid in
-                  for i = 0 to min_len - 1 do
-                    out.(i) <- d r
-                  done;
-                  Value.Varray out))
-    | Pres.Counted_seq { elem = sub; _ } -> (
-        match Mint.get mint elem with
-        | (Mint.Char8 | Mint.Int { bits = 8; _ }) when vc <> None ->
-            let vcc = Option.get vc in
-            fun r ->
-              hdr r;
-              let n = Codec.read_vlen vcc Encoding.Lbin r in
-              Codec.check_bounds ~what:"sequence" n ~min_len ~max_len;
-              Value.Vbytes (Mbuf.read_bytes r n)
-        | Mint.Char8 | Mint.Int { bits = 8; _ } ->
-            fun r ->
-              hdr r;
-              let n = Codec.read_len r ~be ~align:4 in
-              Codec.check_bounds ~what:"sequence" n ~min_len ~max_len;
-              let b = Mbuf.read_bytes r n in
-              skip_pad r n;
-              Value.Vbytes b
-        | _ -> (
-            match Encoding.atom_of_mint (Mint.get mint elem) with
-            | Some kind -> dec_scalar_array ~fixed:None ~max_len kind
-            | None ->
-                let d = dec elem sub in
-                fun r ->
-                  hdr r;
-                  let n = get_arr_len r in
-                  Codec.check_bounds ~what:"sequence" n ~min_len ~max_len;
-                  let out = Array.make n Value.Vvoid in
-                  for i = 0 to n - 1 do
-                    out.(i) <- d r
-                  done;
-                  Value.Varray out))
-    | Pres.Opt_ptr sub ->
-        let d = dec elem sub in
-        fun r ->
-          hdr r;
-          let n, at = read_opt r in
-          (match n with
-          | 0 -> Value.Vopt None
-          | 1 -> Value.Vopt (Some (d r))
-          | n ->
-              raise
-                (Codec.Decode_error
-                   (Printf.sprintf "optional count %d at byte %d" n at)))
-    | Pres.Direct | Pres.Enum_direct | Pres.Struct _ | Pres.Union _
-    | Pres.Void | Pres.Ref _ ->
-        invalid_arg "Stub_opt: array PRES mismatch"
-  and dec_scalar_array ~fixed ~max_len kind =
-    match vc with
-    | Some vcc ->
-        fun r ->
-          hdr r;
-          let n =
-            match fixed with
-            | Some n -> n
-            | None ->
-                let n = Codec.read_vlen vcc Encoding.Larr r in
-                Codec.check_bounds ~what:"array" n ~min_len:0 ~max_len;
-                n
-          in
-          let out = Array.make n Value.Vvoid in
-          for i = 0 to n - 1 do
-            out.(i) <- Codec.read_var vcc kind r
-          done;
-          (match kind with
-          | Encoding.Kint { bits; _ } when bits <= 32 ->
-              Value.Vint_array (Array.map Codec.as_int out)
-          | _ -> Value.Varray out)
-    | None -> dec_fixed_scalar_array ~fixed ~max_len kind
-  and dec_fixed_scalar_array ~fixed ~max_len kind =
-    let atom = atom_of kind in
-    let size = atom.Mplan.size in
-    match (kind, size) with
-    | Encoding.Kint { bits; signed }, 4 when bits <= 32 ->
-        (* chunked read: one bounds check for the whole run *)
-        fun r ->
-          hdr r;
-          let n =
-            match fixed with
-            | Some n -> n
-            | None ->
-                let n = Codec.read_len r ~be ~align:4 in
-                Codec.check_bounds ~what:"array" n ~min_len:0 ~max_len;
-                n
-          in
-          Value.Vint_array (Codec.read_i32s ~be ~signed ~bits r n)
-    | _, _ ->
-        fun r ->
-          hdr r;
-          let n =
-            match fixed with
-            | Some n -> n
-            | None ->
-                let n = Codec.read_len r ~be ~align:4 in
-                Codec.check_bounds ~what:"array" n ~min_len:0 ~max_len;
-                n
-          in
-          let out = Array.make n Value.Vvoid in
-          for i = 0 to n - 1 do
-            out.(i) <- Codec.read_stream r ~be atom
-          done;
-          (match kind with
-          | Encoding.Kint { bits; _ } when bits <= 32 ->
-              Value.Vint_array (Array.map Codec.as_int out)
-          | _ -> Value.Varray out)
-  and dec_union ~discrim ~cases ~default ~arms ~default_arm =
-    let datom = Encoding.atom_of_mint (Mint.get mint discrim) in
-    let arm_decs =
-      List.map2
-        (fun (i, (c : Mint.case)) (_, sub) ->
-          (c.Mint.c_const, i, dec c.Mint.c_body sub))
-        (List.mapi (fun i c -> (i, c)) cases)
-        arms
-    in
-    let default_dec =
-      match (default, default_arm) with
-      | Some didx, Some (_, sub) -> Some (dec didx sub)
-      | None, None -> None
-      | _, _ -> invalid_arg "Stub_opt: PRES/MINT default mismatch"
-    in
-    (* optimized dispatch: hash lookup rather than the linear compare
-       chains of traditional stubs *)
-    let table : (Mint.const, int * (Mbuf.reader -> Value.t)) Hashtbl.t =
-      Hashtbl.create 16
-    in
-    List.iter (fun (c, i, d) -> Hashtbl.replace table c (i, d)) arm_decs;
-    match datom with
-    | Some kind ->
-        let get_d = read_scalar kind in
-        fun r ->
-          hdr r;
-          let v = get_d r in
-          let const : Mint.const =
-            match v with
-            | Value.Vint n -> Mint.Cint (Int64.of_int n)
-            | Value.Vbool b -> Mint.Cbool b
-            | Value.Vchar c -> Mint.Cchar c
-            | _ -> raise (Codec.Decode_error "bad discriminator")
-          in
-          (match Hashtbl.find_opt table const with
-          | Some (case, d) ->
-              Value.Vunion { case; discrim = const; payload = d r }
-          | None -> (
-              match default_dec with
-              | Some d ->
-                  Value.Vunion { case = -1; discrim = const; payload = d r }
-              | None ->
-                  raise
-                    (Codec.Decode_error
-                       (Format.asprintf "unknown discriminator %a" Mint.pp_const
-                          const))))
-    | None ->
-        (* string-keyed operation union *)
-        fun r ->
-          hdr r;
-          let key = read_key r in
-          let const = Mint.Cstring key in
-          (match Hashtbl.find_opt table const with
-          | Some (case, d) ->
-              Value.Vunion { case; discrim = const; payload = d r }
-          | None ->
-              raise (Codec.Decode_error ("unknown operation " ^ key)))
-  in
-  dec root_idx root_pres
-
-let build_decoder ~enc ~mint ~named droots : decoder =
-  let be = enc.Encoding.big_endian in
-  let vc = enc.Encoding.var in
-  let hdr =
-    if enc.Encoding.typed_headers then fun r ->
-      Mbuf.ralign r 4;
-      Mbuf.skip r 4
-    else fun _ -> ()
-  in
-  let steps =
-    List.map
-      (fun droot ->
-        match droot with
-        | Dconst_int (expect, kind) ->
-            let get =
-              match vc with
-              | Some vcc -> fun r -> Codec.read_var vcc kind r
-              | None ->
-                  let atom = Plan_compile.atom_of enc kind in
-                  fun r -> Codec.read_stream r ~be atom
-            in
-            `Skip
-              (fun r ->
-                hdr r;
-                let v = get r in
-                let got =
-                  match v with
-                  | Value.Vint n -> Int64.of_int n
-                  | Value.Vint64 n -> n
-                  | Value.Vbool b -> if b then 1L else 0L
-                  | Value.Vchar c -> Int64.of_int (Char.code c)
-                  | _ -> raise (Codec.Decode_error "bad constant")
-                in
-                if got <> expect then
-                  raise
-                    (Codec.Decode_error
-                       (Printf.sprintf "expected constant %Ld, found %Ld" expect
-                          got)))
-        | Dconst_str expect ->
-            let nul = enc.Encoding.string_nul in
-            let pad_unit = enc.Encoding.pad_unit in
-            let read_key =
-              match vc with
-              | Some vcc ->
-                  fun r ->
-                    Mbuf.read_string r (Codec.read_vlen vcc Encoding.Lstr r)
-              | None ->
-                  fun r ->
-                    let wire_len = Codec.read_len r ~be ~align:4 in
-                    let data_len = if nul then wire_len - 1 else wire_len in
-                    if data_len < 0 then
-                      raise (Codec.Decode_error "bad key length");
-                    let key = Mbuf.read_string r data_len in
-                    if nul then Mbuf.skip r 1;
-                    let padded =
-                      (wire_len + pad_unit - 1) / pad_unit * pad_unit
-                    in
-                    if padded > wire_len then Mbuf.skip r (padded - wire_len);
-                    key
-            in
-            `Skip
-              (fun r ->
-                hdr r;
-                let key = read_key r in
-                if key <> expect then
-                  raise
-                    (Codec.Decode_error
-                       (Printf.sprintf "expected key %S, found %S" expect key)))
-        | Dvalue (idx, pres) ->
-            `Value (compile_value_decoder ~enc ~mint ~named idx pres))
-      droots
-  in
-  fun r ->
-    let out = ref [] in
-    List.iter
-      (fun step ->
-        match step with
-        | `Skip f -> f r
-        | `Value d -> out := d r :: !out)
-      steps;
-    Array.of_list (List.rev !out)
-
-(* ------------------------------------------------------------------ *)
-(* Plan-driven decoding                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* The executor for Dplan programs: each frame decodes into a slot
+   The executor for Dplan programs: each frame decodes into a slot
    array, then its shape assembles the slots into one value.  Slot
    frames are allocated per call (and reused across loop iterations),
    so compiled decoders carry no cross-call state. *)
@@ -1615,9 +1223,11 @@ let decoder_of_dplan ~(enc : Encoding.t) (plan : Dplan.plan) : decoder =
         let get_n = read_count count in
         let kind = atom.Mplan.kind in
         (* every element is header-checked on its own: the advance is
-           data-dependent, so no run-wide reservation is possible *)
+           data-dependent, so no run-wide reservation is possible; the
+           count is still admitted at one head byte per element *)
         fun r slots ->
           let n = get_n r in
+          Codec.admit_count r ~width:1 n;
           let out = Array.make n Value.Vvoid in
           for i = 0 to n - 1 do
             out.(i) <- Codec.read_var vcc kind r
@@ -1637,8 +1247,10 @@ let decoder_of_dplan ~(enc : Encoding.t) (plan : Dplan.plan) : decoder =
               slots.(slot) <-
                 Value.Vint_array (Codec.read_i32s ~be ~signed ~bits r n)
         | _, _ ->
+            let width = atom.Mplan.size in
             fun r slots ->
               let n = get_n r in
+              Codec.admit_count r ~width n;
               let out = Array.make n Value.Vvoid in
               for i = 0 to n - 1 do
                 out.(i) <- Codec.read_stream r ~be atom
@@ -1733,7 +1345,7 @@ let decoder_of_dplan ~(enc : Encoding.t) (plan : Dplan.plan) : decoder =
                               Mint.pp_const const))))
         | None ->
             (* string-keyed operation union: a miss is always an unknown
-               operation (the closure decoder behaves the same) *)
+               operation *)
             fun r slots ->
               let key = read_key r in
               let const = Mint.Cstring key in
@@ -1822,27 +1434,10 @@ let droot_key ~enc ~mint ~named ~views ~config droots =
     (Printf.sprintf "views=%b,sg=%b,%d,%s" views (Mbuf.sg_enabled ())
        (Mbuf.borrow_threshold ())
        (Opt_config.selection_fingerprint config));
-  List.iter
-    (fun droot ->
-      match droot with
-      | Dconst_int (n, kind) ->
-          Plan_cache.fp_tag fp "Di";
-          Plan_cache.fp_tag fp (Int64.to_string n);
-          Plan_cache.fp_kind fp kind
-      | Dconst_str s ->
-          Plan_cache.fp_tag fp "Ds";
-          Plan_cache.fp_tag fp s
-      | Dvalue (idx, pres) ->
-          Plan_cache.fp_tag fp "Dv";
-          Plan_cache.fp_type fp idx pres)
-    droots;
+  List.iter (Plan_cache.fp_droot fp) droots;
   Plan_cache.fp_contents fp
 
-let to_dplan_droot (droot : droot) : Dplan_compile.droot =
-  match droot with
-  | Dconst_int (n, kind) -> Dplan_compile.Dconst_int (n, kind)
-  | Dconst_str s -> Dplan_compile.Dconst_str s
-  | Dvalue (idx, pres) -> Dplan_compile.Dvalue (idx, pres)
+let to_dplan_droot (droot : droot) : Dplan_compile.droot = droot
 
 let compile_decoder ?config ~enc ~mint ~named ?(views = false) droots :
     decoder =
@@ -1854,7 +1449,6 @@ let compile_decoder ?config ~enc ~mint ~named ?(views = false) droots :
      compilations share one physical closure *)
   Plan_cache.find_or_add decoder_cache key (fun () ->
       let dplan =
-        Plan_cache.dplan ~enc ~mint ~named ~views ~config
-          (List.map to_dplan_droot droots)
+        Plan_cache.dplan ~enc ~mint ~named ~views ~config droots
       in
       instrument_decoder decode_ns decode_bytes (decoder_of_dplan ~enc dplan))

@@ -38,16 +38,17 @@ val instrument_decoder : Obs.hist -> Obs.hist -> decoder -> decoder
     wire bytes. *)
 
 (** Decoder-side description of a message body, mirroring
-    {!Plan_compile.root}. *)
-type droot =
+    {!Plan_compile.root}: the plan compiler's own root type, re-exported
+    so engine callers need not name {!Dplan_compile}. *)
+type droot = Dplan_compile.droot =
   | Dconst_int of int64 * Encoding.atom_kind
       (** verify a constant discriminator *)
   | Dconst_str of string
   | Dvalue of Mint.idx * Pres.t
 
 val to_dplan_droot : droot -> Dplan_compile.droot
-(** The plan-compiler spelling of a decode root ({!Stub_forward} keys
-    fused relays off the same roots the decoder compiles from). *)
+(** The identity, since [droot] is {!Dplan_compile.droot}; kept only
+    for callers written before the two types were one. *)
 
 val compile_encoder :
   ?config:Opt_config.t ->
@@ -95,15 +96,3 @@ val decoder_of_dplan :
     to an already compiled decode plan (used by the ablation benchmarks,
     which tweak plans, and by the forward relay's materialize
     fallback). *)
-
-val build_decoder :
-  enc:Encoding.t ->
-  mint:Mint.t ->
-  named:(string * (Mint.idx * Pres.t)) list ->
-  droot list ->
-  decoder
-(** The pre-plan closure-tree decoder, kept as the benchmark baseline:
-    per-datum alignment and bounds checking, exactly the shape
-    traditional stubs compile to.  Decodes byte-for-byte the same
-    positions as the plan-driven decoder (pinned by
-    [test/test_decplan.ml]). *)

@@ -7,10 +7,10 @@
    always position-correct at runtime (conservative congruence loss is
    therefore safe — it costs chunking quality, never correctness).
 
-   The emitted plan decodes byte-for-byte the positions the closure
-   decoder (Stub_opt.build_decoder) reads — the differential qcheck
-   suite in test/test_decplan.ml pins plan = closure = naive = interp
-   on every encoding. *)
+   The emitted plan decodes byte-for-byte the positions the
+   rpcgen-style decoder (Stub_naive) reads — the differential qcheck
+   suite in test/test_decplan.ml pins plan = naive = interp on every
+   encoding, and plan/naive failure parity on every truncation. *)
 
 type droot =
   | Dconst_int of int64 * Encoding.atom_kind

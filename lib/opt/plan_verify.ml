@@ -526,6 +526,10 @@ let rec f_src_exact_op (op : Fplan.fop) : int option =
   | Fplan.F_run { src_size; _ } -> Some src_size
   | Fplan.F_loop { count = Fplan.Fc_fixed n; body; _ } ->
       Option.map (fun u -> n * u) (f_src_exact body)
+  | Fplan.F_atom_array { count = Fplan.Fc_fixed n; src_atom; _ }
+    when src_atom.Mplan.align <= 1 ->
+      (* as d_exact_advance: an unaligned fixed run reads n atoms *)
+      Some (n * src_atom.Mplan.size)
   | _ -> None
 
 and f_src_exact ops =

@@ -75,8 +75,7 @@ let relay_for t ~(from_enc : Encoding.t) ~(to_enc : Encoding.t)
   if t.forward then
     Stub_forward.compile_forward ~src:from_enc ~dst:to_enc
       ~mint:ms.Paper_fixtures.ms_mint ~named:ms.Paper_fixtures.ms_named
-      (List.map Stub_opt.to_dplan_droot ms.Paper_fixtures.ms_droots)
-      ms.Paper_fixtures.ms_roots
+      ms.Paper_fixtures.ms_droots ms.Paper_fixtures.ms_roots
   else
     baseline_relay ~src:from_enc ~dst:to_enc ~mint:ms.Paper_fixtures.ms_mint
       ~named:ms.Paper_fixtures.ms_named ms.Paper_fixtures.ms_droots

@@ -1,27 +1,26 @@
 (* Differential pinning of the plan-driven decoder (Dplan_compile +
-   Stub_opt.decoder_of_dplan) against the three reference decode paths:
-   the closure-tree baseline it replaced (Stub_opt.build_decoder), the
-   rpcgen-style engine (Stub_naive), and the interpretive engine
+   Stub_opt.decoder_of_dplan) against the paper's two baseline engines:
+   the rpcgen-style engine (Stub_naive) and the interpretive engine
    (Stub_interp).
 
    For >= 1000 random (MINT, PRES) cases per paper encoding:
 
-   1. all four decoders recover the encoded value (Value.equal, which
+   1. all three decoders recover the encoded value (Value.equal, which
       also equates a zero-copy view with its copied form);
-   2. truncated prefixes behave identically in the plan and closure
-      paths: both fail, or both succeed on the same value (a merged
-      chunk check may surface Short_buffer *earlier* than the
-      per-datum path, but never changes the outcome);
-   3. a corrupted byte (malformed union discriminators, bad booleans,
-      oversized counts, ...) keeps the two paths in agreement:
-      fail together or decode the same value;
-   4. with scatter-gather views on and the borrow threshold dropped to
+   2. with scatter-gather views on and the borrow threshold dropped to
       3 bytes, the view decode equals the copy decode, and
       materializing it yields an owned value that still compares equal.
 
    A second property pins the plan decoder's failures against the
-   rpcgen-style engine alone: every proper prefix and a few flipped bits
-   fail in both or decode the same value in both.
+   rpcgen-style engine: every proper prefix and a few flipped bits
+   (malformed union discriminators, bad booleans, oversized counts, ...)
+   fail in both or decode the same value in both (a merged chunk check
+   may surface Short_buffer *earlier* than the per-datum path, but never
+   changes the outcome).
+
+   A third suite feeds each engine element counts far beyond the bytes
+   that follow them: every engine must raise Short_buffer before it
+   allocates the element array.
 
    Unit tests below pin the specifics: Short_buffer injection mid-chunk,
    sub-word atom arrays extending like scalar loads, self-describing
@@ -41,8 +40,6 @@ let encode enc (c : Test_engines.case) v =
 let decoders enc (c : Test_engines.case) =
   let droots = Test_engines.droots_of c in
   ( Stub_opt.compile_decoder ~enc ~mint:c.Test_engines.mint
-      ~named:c.Test_engines.named droots,
-    Stub_opt.build_decoder ~enc ~mint:c.Test_engines.mint
       ~named:c.Test_engines.named droots,
     Stub_naive.compile_decoder ~config:naive_config ~enc
       ~mint:c.Test_engines.mint ~named:c.Test_engines.named droots,
@@ -73,8 +70,8 @@ let decode_prop enc (c : Test_engines.case) =
       c.Test_engines.idx c.Test_engines.pres
   in
   let wire = Bytes.of_string (encode enc c v) in
-  let dec_plan, dec_closure, dec_naive, dec_interp = decoders enc c in
-  (* 1. four-way agreement on well-formed input *)
+  let dec_plan, dec_naive, dec_interp = decoders enc c in
+  (* 1. three-way agreement on well-formed input *)
   let v_plan =
     match run_decoder dec_plan wire with
     | Ok_value v' -> v'
@@ -92,35 +89,8 @@ let decode_prop enc (c : Test_engines.case) =
       | out ->
           QCheck.Test.fail_reportf "plan/%s decode disagree on %s: %a"
             name c.Test_engines.label pp_outcome out)
-    [ ("closure", dec_closure); ("naive", dec_naive); ("interp", dec_interp) ];
-  (* 2. truncation parity between the plan and closure paths *)
-  let n = Bytes.length wire in
-  List.iter
-    (fun cut ->
-      if cut >= 0 && cut < n then begin
-        let prefix = Bytes.sub wire 0 cut in
-        let a = run_decoder dec_plan prefix
-        and b = run_decoder dec_closure prefix in
-        if not (same_outcome a b) then
-          QCheck.Test.fail_reportf
-            "truncation at %d/%d disagrees on %s: plan %a, closure %a" cut n
-            c.Test_engines.label pp_outcome a pp_outcome b
-      end)
-    [ n - 1; n / 2; n - 3 ];
-  (* 3. corruption parity (hits union discriminators, bools, counts) *)
-  if n > 0 then begin
-    let corrupt = Bytes.copy wire in
-    let at = Random.State.int rng n in
-    Bytes.set corrupt at
-      (Char.chr (Char.code (Bytes.get corrupt at) lxor (1 lsl Random.State.int rng 8)));
-    let a = run_decoder dec_plan corrupt
-    and b = run_decoder dec_closure corrupt in
-    if not (same_outcome a b) then
-      QCheck.Test.fail_reportf
-        "corrupt byte %d disagrees on %s: plan %a, closure %a" at
-        c.Test_engines.label pp_outcome a pp_outcome b
-  end;
-  (* 4. zero-copy views equal the copy decode, before and after
+    [ ("naive", dec_naive); ("interp", dec_interp) ];
+  (* 2. zero-copy views equal the copy decode, before and after
         materialization *)
   Test_sgwire.with_sg ~on:true ~threshold:3 (fun () ->
       let dec_view =
@@ -141,7 +111,7 @@ let decode_prop enc (c : Test_engines.case) =
   true
 
 let qtest enc =
-  let name = enc.Encoding.name ^ ": plan decode = closure = naive = interp" in
+  let name = enc.Encoding.name ^ ": plan decode = naive = interp" in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:1000 ~name Test_engines.arbitrary_case
        (decode_prop enc))
@@ -151,17 +121,18 @@ let property_tests =
     [
       Encoding.xdr; Encoding.cdr; Encoding.mach3; Encoding.fluke;
       (* the value-dependent formats run the same 1000-case
-         differential: variable headers must truncate and corrupt with
-         the same typed failures as the fixed layouts *)
+         differential as the fixed layouts *)
       Encoding.msgpack; Encoding.cbor;
     ]
 
 (* -- failure parity against the rpcgen-style engine --------------------- *)
 
 (* The plan decoder is the only serving decoder, so its failure behaviour
-   is also pinned against Stub_naive directly, not only against the
-   closure-tree baseline: every proper prefix of the message and a few
-   flipped bits must fail in both, or decode the same value in both. *)
+   is pinned against Stub_naive directly: every proper prefix of the
+   message and a few flipped bits must fail in both, or decode the same
+   value in both.  The value-dependent formats run it too: variable
+   headers must truncate and corrupt with the same typed failures as the
+   fixed layouts. *)
 let naive_parity_prop enc (c : Test_engines.case) =
   let v =
     Workload.random rng c.Test_engines.mint ~named:c.Test_engines.named
@@ -222,7 +193,7 @@ let int4_struct () =
 
 let failure_tests =
   [
-    Alcotest.test_case "Short_buffer mid-chunk: plan and closure both fail"
+    Alcotest.test_case "Short_buffer mid-chunk: plan and naive both fail"
       `Quick (fun () ->
         (* four int32 fields compile to ONE chunk with one 16-byte
            check; cutting at byte 6 lands inside it *)
@@ -235,12 +206,15 @@ let failure_tests =
         let wire = Bytes.sub (Mbuf.contents buf) 0 6 in
         let droots = [ Stub_opt.Dvalue (idx, pres) ] in
         let dec_plan = Stub_opt.compile_decoder ~enc ~mint ~named:[] droots in
-        let dec_closure = Stub_opt.build_decoder ~enc ~mint ~named:[] droots in
+        let dec_naive =
+          Stub_naive.compile_decoder ~config:naive_config ~enc ~mint ~named:[]
+            droots
+        in
         (match dec_plan (Mbuf.reader_of_bytes wire) with
         | _ -> Alcotest.fail "plan decoded a truncated chunk"
         | exception Mbuf.Short_buffer -> ());
-        match dec_closure (Mbuf.reader_of_bytes wire) with
-        | _ -> Alcotest.fail "closure decoded a truncated chunk"
+        match dec_naive (Mbuf.reader_of_bytes wire) with
+        | _ -> Alcotest.fail "naive decoded a truncated chunk"
         | exception Mbuf.Short_buffer -> ());
     Alcotest.test_case "sub-word atom arrays extend like scalar loads" `Quick
       (fun () ->
@@ -285,10 +259,10 @@ let failure_tests =
               expect)
           [
             ("plan", Stub_opt.compile_decoder ~enc ~mint ~named:[] droots);
-            ("closure", Stub_opt.build_decoder ~enc ~mint ~named:[] droots);
             ( "naive",
               Stub_naive.compile_decoder ~config:naive_config ~enc ~mint
                 ~named:[] droots );
+            ("interp", Stub_interp.compile_decoder ~enc ~mint ~named:[] droots);
           ]);
     Alcotest.test_case "headed atom arrays never ride a hoisted reservation"
       `Quick (fun () ->
@@ -351,7 +325,7 @@ let failure_tests =
         match dec (Mbuf.reader_of_bytes (Bytes.sub wire 0 55)) with
         | _ -> Alcotest.fail "decoded a message missing its last byte"
         | exception Mbuf.Short_buffer -> ());
-    Alcotest.test_case "unknown union discriminator is rejected by both paths"
+    Alcotest.test_case "unknown union discriminator is rejected by every engine"
       `Quick (fun () ->
         let mint = Mint.create () in
         let discrim = Mint.int32 mint in
@@ -387,8 +361,8 @@ let failure_tests =
             | exception Codec.Decode_error _ -> ())
           [
             ("plan", Stub_opt.compile_decoder ~enc ~mint ~named:[] droots);
-            ("closure", Stub_opt.build_decoder ~enc ~mint ~named:[] droots);
             ("naive", Stub_naive.compile_decoder ~config:naive_config ~enc ~mint ~named:[] droots);
+            ("interp", Stub_interp.compile_decoder ~enc ~mint ~named:[] droots);
           ]);
     Alcotest.test_case "Opt_ptr error carries the wire offset" `Quick
       (fun () ->
@@ -420,11 +394,100 @@ let failure_tests =
         in
         expect_offset "plan"
           (Stub_opt.compile_decoder ~enc ~mint ~named:[] droots);
-        expect_offset "closure"
-          (Stub_opt.build_decoder ~enc ~mint ~named:[] droots);
         expect_offset "naive"
           (Stub_naive.compile_decoder ~config:naive_config ~enc ~mint
-             ~named:[] droots));
+             ~named:[] droots);
+        expect_offset "interp"
+          (Stub_interp.compile_decoder ~enc ~mint ~named:[] droots));
+  ]
+
+(* -- count admission ---------------------------------------------------- *)
+
+(* A header announcing 10^6 elements with no payload behind it: each
+   engine must raise Short_buffer from the count alone, before it
+   allocates the 8 MB element array the count asks for. *)
+let hostile_count = 1_000_000
+
+let hostile_seq ~bits =
+  let mint = Mint.create () in
+  let elem = Mint.int_ mint ~bits ~signed:true in
+  let idx = Mint.array mint ~elem ~min_len:0 ~max_len:None in
+  let pres =
+    Pres.Counted_seq { len_field = "len"; buf_field = "val"; elem = Pres.Direct }
+  in
+  (mint, idx, pres)
+
+let hostile_header (enc : Encoding.t) =
+  let buf = Mbuf.create 8 in
+  (match enc.Encoding.var with
+  | Some vcc -> Codec.write_vlen vcc ~check:true Encoding.Larr buf hostile_count
+  | None -> Mbuf.put_i32 buf ~be:enc.Encoding.big_endian hostile_count);
+  Mbuf.contents buf
+
+(* Run [f], which must raise Short_buffer, allocating less than 64 KiB
+   on the way.  A full major collection first leaves no collection work
+   pending that could land inside the measured window. *)
+let short_and_small what f =
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  (match f () with
+  | () -> Alcotest.failf "%s: accepted a count with no payload" what
+  | exception Mbuf.Short_buffer -> ());
+  let grown = Gc.allocated_bytes () -. before in
+  if grown >= 65536. then
+    Alcotest.failf "%s: allocated %.0f bytes before rejecting the count" what
+      grown
+
+let admission_tests =
+  [
+    Alcotest.test_case "hostile counts are rejected before allocation" `Quick
+      (fun () ->
+        List.iter
+          (fun (enc, bits, header) ->
+            let mint, idx, pres = hostile_seq ~bits in
+            let droots = [ Stub_opt.Dvalue (idx, pres) ] in
+            let wire = hostile_header enc in
+            Alcotest.(check string)
+              (enc.Encoding.name ^ " header bytes") header
+              (String.concat " "
+                 (List.map
+                    (fun c -> Printf.sprintf "%02x" (Char.code c))
+                    (List.of_seq (Bytes.to_seq wire))));
+            List.iter
+              (fun (engine, (d : Stub_opt.decoder)) ->
+                short_and_small
+                  (Printf.sprintf "%s %s sequence<int%d>" engine
+                     enc.Encoding.name bits)
+                  (fun () -> ignore (d (Mbuf.reader_of_bytes wire))))
+              [
+                ("plan", Stub_opt.compile_decoder ~enc ~mint ~named:[] droots);
+                ( "naive",
+                  Stub_naive.compile_decoder ~config:naive_config ~enc ~mint
+                    ~named:[] droots );
+                ("interp", Stub_interp.compile_decoder ~enc ~mint ~named:[] droots);
+              ])
+          [
+            (Encoding.msgpack, 32, "dd 00 0f 42 40");
+            (Encoding.cbor, 32, "9a 00 0f 42 40");
+            (Encoding.xdr, 64, "00 0f 42 40");
+            (Encoding.cdr, 16, "00 0f 42 40");
+          ]);
+    Alcotest.test_case "the cdr->xdr relay rejects a hostile count before \
+                        allocation" `Quick (fun () ->
+        let mint, idx, pres = hostile_seq ~bits:16 in
+        let fwd =
+          Stub_forward.compile_forward ~src:Encoding.cdr ~dst:Encoding.xdr
+            ~mint ~named:[]
+            [ Stub_opt.Dvalue (idx, pres) ]
+            [
+              Plan_compile.Rvalue
+                (Mplan.Rparam { index = 0; name = "p"; deref = false }, idx, pres);
+            ]
+        in
+        let wire = hostile_header Encoding.cdr in
+        let out = Mbuf.create 64 in
+        short_and_small "cdr->xdr relay of sequence<int16>" (fun () ->
+            fwd (Mbuf.reader_of_bytes wire) out));
   ]
 
 (* -- zero-copy accounting --------------------------------------------- *)
@@ -511,6 +574,7 @@ let suite =
     ("decplan:differential", property_tests);
     ("decplan:naive-parity", naive_parity_tests);
     ("decplan:failures", failure_tests);
+    ("decplan:admission", admission_tests);
     ("decplan:views", view_tests);
     ("decplan:cache", cache_tests);
   ]

@@ -58,8 +58,7 @@ let baseline_relay ~src ~dst (c : Test_engines.case) : Stub_forward.forward =
 let fused_plan ~src ~dst (c : Test_engines.case) =
   Stub_forward.forward_plan ~src ~dst ~mint:c.Test_engines.mint
     ~named:c.Test_engines.named
-    (List.map Stub_opt.to_dplan_droot (Test_engines.droots_of c))
-    (Test_engines.roots_of c)
+    (Test_engines.droots_of c) (Test_engines.roots_of c)
 
 (* -- the differential property per encoding pair --------------------- *)
 
@@ -220,6 +219,47 @@ let pool_balance_test () =
   Alcotest.(check int) "pooled readers outstanding unchanged"
     before.Mbuf.readers_outstanding after.Mbuf.readers_outstanding
 
+(* A fixed run of byte-wide atoms inside a reserved loop: the raw fused
+   plan (before any forward pass) keeps it as an atom array under the
+   loop's 3-byte source reservation, which the verifier must accept as
+   an exact advance, as it does on the decode side. *)
+let fixed_atom_run_in_loop_test () =
+  let mint = Mint.create () in
+  let b = Mint.bool_ mint in
+  let elem =
+    Mint.struct_ mint
+      [
+        ("x", Mint.fixed_array mint ~elem:b ~len:1);
+        ("y", Mint.struct_ mint [ ("a", b) ]);
+        ("z", b);
+      ]
+  in
+  let epres =
+    Pres.Struct
+      [
+        ("x", Pres.Fixed_array Pres.Direct);
+        ("y", Pres.Struct [ ("a", Pres.Direct) ]);
+        ("z", Pres.Direct);
+      ]
+  in
+  let idx = Mint.array mint ~elem ~min_len:0 ~max_len:(Some 8) in
+  let pres =
+    Pres.Counted_seq { len_field = "len"; buf_field = "val"; elem = epres }
+  in
+  let c =
+    { Test_engines.label = "seqstruct3([1]bstruct1(b)b)"; mint; named = [];
+      idx; pres }
+  in
+  let raw =
+    Fplan_compile.fuse ~src:Encoding.cdr ~dst:Encoding.cdr ~mint ~named:[]
+      (Test_engines.droots_of c) (Test_engines.roots_of c)
+  in
+  match Plan_verify.check_fplan raw with
+  | Ok () -> ()
+  | Error e ->
+      Alcotest.failf "verifier rejected the raw fused plan: %s@.%a"
+        (Plan_verify.error_to_string e) Fplan.pp_plan raw
+
 let suite =
   [
     ( "forward",
@@ -229,5 +269,7 @@ let suite =
             gateway_roundtrip_test;
           Alcotest.test_case "pool balance across a gateway run" `Quick
             pool_balance_test;
+          Alcotest.test_case "fixed atom run in a reserved loop verifies"
+            `Quick fixed_atom_run_in_loop_test;
         ] );
   ]

@@ -37,11 +37,6 @@ let fixture_specs () =
       (Encoding.mach3, `Rpcgen);
     ]
 
-let to_droot = function
-  | Stub_opt.Dconst_int (v, k) -> Dplan_compile.Dconst_int (v, k)
-  | Stub_opt.Dconst_str s -> Dplan_compile.Dconst_str s
-  | Stub_opt.Dvalue (i, p) -> Dplan_compile.Dvalue (i, p)
-
 let fixture_tests =
   [
     test "default pipeline = monolithic peephole on the paper fixtures"
@@ -65,7 +60,7 @@ let fixture_tests =
               [ true; false ];
             let draw =
               Dplan_compile.compile ~enc ~mint ~named
-                (List.map to_droot spec.Paper_fixtures.ms_droots)
+                spec.Paper_fixtures.ms_droots
             in
             let dpiped = Pass.run_decode ~config:verify_all draw in
             Alcotest.(check bool)

@@ -7,11 +7,12 @@
       shed (>= 500 random cases per encoding).
 
    2. Fault injection: a connection dying mid-request, a truncated
-      body, a garbage or oversized length prefix, and an unknown
-      interface id each produce a pinned Diag-formatted error or an
-      explicit reject reply, never poison other connections, and leak
-      no pooled writers (Mbuf pool outstanding counts return to
-      baseline around every scenario).
+      body, an element count with no payload behind it, a garbage or
+      oversized length prefix, and an unknown interface id each
+      produce a pinned Diag-formatted error or an explicit reject
+      reply, never poison other connections, and leak no pooled
+      writers (Mbuf pool outstanding counts return to baseline around
+      every scenario).
 
    3. Plan-cache churn: interleaved lookups across many interfaces keep
       the hits/misses/entries/evictions/resets counters consistent with
@@ -384,6 +385,54 @@ let test_truncated_body () =
       | [ (Rpc_serve.Sok, 5, _) ] -> ()
       | _ -> Alcotest.fail "connection should recover after a bad body"))
 
+(* A 5-byte msgpack header announcing 10^6 ints, with no payload behind
+   it: the request is rejected from its count alone, before the 8 MB
+   element array is allocated, and never poisons a peer connection. *)
+let test_hostile_count () =
+  with_pool_check (fun () ->
+      let sim = Sim_core.create () in
+      let ingress = Link.ethernet_100 ~sim in
+      let egress = Link.ethernet_100 ~sim in
+      let t = Rpc_serve.create ~sim ~ingress ~egress () in
+      register_all t Encoding.msgpack;
+      let frame ~seq ~bytes =
+        Rpc_serve.request_frame (spec_for Encoding.msgpack `Ints) ~seq
+          [| Paper_fixtures.payload `Ints ~bytes |]
+      in
+      (* the smallest send_ints body ends in the one-element sequence
+         [0] (fixarray header 0x91, then 0x00); swap those two bytes for
+         an array32 header (0xdd) announcing 10^6 elements *)
+      let small = frame ~seq:9 ~bytes:0 in
+      let n = Bytes.length small in
+      check Alcotest.string "body tail" "\x91\x00"
+        (Bytes.sub_string small (n - 2) 2);
+      let hostile =
+        Bytes.cat (Bytes.sub small 0 (n - 2))
+          (Bytes.of_string "\xdd\x00\x0f\x42\x40")
+      in
+      Bytes.set_int32_be hostile 0 (Int32.of_int (Bytes.length hostile - 4));
+      let got_bad = ref [] and got_ok = ref [] in
+      let bad = Rpc_serve.connect t ~deliver:(fun d -> got_bad := !got_bad @ [ d ]) in
+      let ok = Rpc_serve.connect t ~deliver:(fun d -> got_ok := !got_ok @ [ d ]) in
+      Gc.full_major ();
+      let before = Gc.allocated_bytes () in
+      Rpc_serve.feed bad hostile;
+      Sim_core.run sim;
+      let grown = Gc.allocated_bytes () -. before in
+      (match List.concat_map Rpc_serve.parse_replies !got_bad with
+      | [ (Rpc_serve.Sbad_request, 9, _) ] -> ()
+      | _ -> Alcotest.fail "expected exactly one Sbad_request reply");
+      if grown >= 65536. then
+        Alcotest.failf "serving the hostile count allocated %.0f bytes" grown;
+      checki "no connection killed" 0
+        (Rpc_serve.stats t).Rpc_serve.st_killed_conns;
+      (* the peer connection is still served *)
+      Rpc_serve.feed ok (frame ~seq:10 ~bytes:64);
+      Sim_core.run sim;
+      match List.concat_map Rpc_serve.parse_replies !got_ok with
+      | [ (Rpc_serve.Sok, 10, _) ] -> ()
+      | _ -> Alcotest.fail "the peer connection should still be served")
+
 let test_death_with_pending_reply () =
   with_recorder @@ fun () ->
   with_pool_check (fun () ->
@@ -605,6 +654,7 @@ let suite =
         Alcotest.test_case "connection dies mid-request" `Quick
           test_death_mid_request;
         Alcotest.test_case "truncated body" `Quick test_truncated_body;
+        Alcotest.test_case "hostile element count" `Quick test_hostile_count;
         Alcotest.test_case "connection dies with reply pending" `Quick
           test_death_with_pending_reply;
       ] );
