@@ -207,7 +207,8 @@ let check_gateway path j =
 (* The selfdesc artifact carries the variable-header parity matrix: a
    cell that is not byte-identical, decodes unequal, or leaves
    reservation slack on the wire must fail CI even if the benchmark's
-   own self-checks were green. *)
+   own self-checks were green.  Every cell also records the minor words
+   one encode and one decode call allocate. *)
 let check_selfdesc path j =
   let num obj key =
     match Obs_json.member key obj with
@@ -237,12 +238,18 @@ let check_selfdesc path j =
                   "identical"; "decoded_equal"; "consumed"; "plan_verified";
                   "dplan_verified";
                 ];
-              match (num row "encode_ns", num row "decode_ns") with
+              (match (num row "encode_ns", num row "decode_ns") with
               | Some e, Some d ->
                   if e <= 0. || d <= 0. then
                     err "%s: rows[%d]: non-positive timing (%.0f, %.0f)" path
                       i e d
-              | _ -> err "%s: rows[%d]: missing timing keys" path i)
+              | _ -> err "%s: rows[%d]: missing timing keys" path i);
+              match (num row "encode_words", num row "decode_words") with
+              | Some e, Some d ->
+                  if e < 0. || d < 0. then
+                    err "%s: rows[%d]: negative allocation (%.1f, %.1f)" path
+                      i e d
+              | _ -> err "%s: rows[%d]: missing allocation keys" path i)
             rows)
 
 (* The tail artifact carries the tracing tentpole's reconciliation and

@@ -2458,8 +2458,9 @@ let selfdesc () =
     (Printf.sprintf
        "{\n  \"artifact\": \"selfdesc\",\n  \"smoke\": %b,\n  \"rows\": ["
        !smoke);
-  Printf.printf "\n%-8s %-13s %9s %12s %10s %10s %10s\n" "enc" "workload"
-    "wire" "encode ns" "MB/s" "decode ns" "MB/s";
+  Printf.printf "\n%-8s %-13s %9s %12s %10s %10s %10s %9s %9s\n" "enc"
+    "workload" "wire" "encode ns" "MB/s" "decode ns" "MB/s" "enc words"
+    "dec words";
   let first = ref true in
   let pc = Paper_fixtures.bench_presc `Corba in
   List.iter
@@ -2547,19 +2548,45 @@ let selfdesc () =
               in
               let ns_e = time_encode () in
               let ns_d = time_decode () in
+              (* minor words per warmed-up call: heads are written in
+                 place and parsed into native ints, so what is left is
+                 the decoded value itself *)
+              let words_per_call f =
+                for _ = 1 to 10 do
+                  f ()
+                done;
+                let before = Gc.minor_words () in
+                for _ = 1 to 100 do
+                  f ()
+                done;
+                (Gc.minor_words () -. before) /. 100.
+              in
+              let args = [| value |] in
+              let wbuf = Mbuf.create (bytes + 8192) in
+              let words_e =
+                words_per_call (fun () ->
+                    Mbuf.reset wbuf;
+                    enc0 wbuf args)
+              in
+              let words_d =
+                words_per_call (fun () ->
+                    ignore (dec0 (Mbuf.reader_of_bytes wire) : Value.t array))
+              in
               Printf.printf
-                "%-8s %-13s %9d %12.0f %10.1f %10.0f %10.1f\n" ename op wlen
-                ns_e (mbps wlen ns_e) ns_d (mbps wlen ns_d);
+                "%-8s %-13s %9d %12.0f %10.1f %10.0f %10.1f %9.0f %9.0f\n" ename
+                op wlen ns_e (mbps wlen ns_e) ns_d (mbps wlen ns_d) words_e
+                words_d;
               Buffer.add_string json
                 (Printf.sprintf
                    "%s\n    { \"encoding\": %S, \"op\": %S, \"bytes\": %d, \
                     \"wire_bytes\": %d, \"encode_ns\": %.0f, \
-                    \"decode_ns\": %.0f, \"identical\": %b, \
+                    \"decode_ns\": %.0f, \"encode_words\": %.1f, \
+                    \"decode_words\": %.1f, \"identical\": %b, \
                     \"decoded_equal\": %b, \"consumed\": %b, \
                     \"plan_verified\": %b, \"dplan_verified\": %b }"
                    (if !first then "" else ",")
-                   ename op bytes wlen ns_e ns_d identical decoded_equal
-                   consumed plan_ok dplan_ok);
+                   ename op bytes wlen ns_e ns_d words_e words_d identical
+                   decoded_equal consumed plan_ok dplan_ok);
               first := false)
             sizes)
         [ `Ints; `Rects; `Dirents ])

@@ -168,61 +168,78 @@ let skip_pad r ~pad_unit n =
 
 (* -- value-dependent wire formats ------------------------------------ *)
 
-(* Encoding's variable-header hooks speak primitives (int64, bool,
-   float); these wrappers fix the Value.t mapping once so every engine
-   (plan-driven, rpcgen-style, interpretive) emits and accepts
-   exactly the same bytes.  Malformed-header errors surface as
-   [Decode_error] like every other wire fault; truncation stays
-   [Mbuf.Short_buffer]. *)
+(* Encoding's variable-header emitters and parsers speak native ints
+   (int64 only for 64-bit fields), bools and floats; these wrappers fix
+   the Value.t mapping once so every engine (plan-driven, rpcgen-style,
+   interpretive) emits and accepts exactly the same bytes.
+   Malformed-header errors surface as [Decode_error] like every other
+   wire fault; truncation stays [Mbuf.Short_buffer]. *)
 
-let wrap_var f = try f () with Encoding.Var_error m -> raise (Decode_error m)
+(* a native int truncated to a [bits]-wide field, the same round trip
+   a fixed-size store performs *)
+let canon_small ~bits ~signed n =
+  if signed then sign_extend n bits else n land ((1 lsl bits) - 1)
+
+let write_var_int (vc : Encoding.varcodec) ~check (kind : Encoding.atom_kind)
+    buf n =
+  match kind with
+  | Encoding.Kbool -> Encoding.var_put_bool vc ~check buf (n <> 0)
+  | Encoding.Kchar ->
+      Encoding.var_put_int vc ~check ~signed:false buf (n land 0xFF)
+  | Encoding.Kint { bits; signed } when bits <= 32 ->
+      Encoding.var_put_int vc ~check ~signed buf (canon_small ~bits ~signed n)
+  | Encoding.Kint { signed; _ } -> Encoding.var_put_int vc ~check ~signed buf n
+  | Encoding.Kfloat _ -> invalid_arg "Codec.as_float"
 
 let write_var (vc : Encoding.varcodec) ~check (kind : Encoding.atom_kind) buf v
     =
-  match kind with
-  | Encoding.Kbool ->
-      let b = match v with Value.Vbool b -> b | _ -> as_int v <> 0 in
-      vc.Encoding.v_put_bool ~check buf b
-  | Encoding.Kchar ->
-      let code =
-        match v with
-        | Value.Vchar c -> Char.code c
-        | _ -> as_int v land 0xFF
-      in
-      vc.Encoding.v_put_int ~check ~signed:false buf (Int64.of_int code)
-  | Encoding.Kint { bits; signed } ->
-      (* truncate to the declared width first, the same round trip a
-         fixed-size store performs *)
-      let n = Encoding.canon_int ~bits ~signed (as_int64 v) in
-      vc.Encoding.v_put_int ~check ~signed buf n
-  | Encoding.Kfloat { bits } ->
-      vc.Encoding.v_put_float ~check ~bits buf (as_float v)
+  match (kind, v) with
+  | Encoding.Kfloat { bits }, _ ->
+      Encoding.var_put_float vc ~check ~bits buf (as_float v)
+  | _, Value.Vint n -> write_var_int vc ~check kind buf n
+  | Encoding.Kbool, Value.Vbool b -> Encoding.var_put_bool vc ~check buf b
+  | Encoding.Kchar, Value.Vchar c ->
+      Encoding.var_put_int vc ~check ~signed:false buf (Char.code c)
+  | (Encoding.Kbool | Encoding.Kchar), _ ->
+      write_var_int vc ~check kind buf (as_int v)
+  | Encoding.Kint { bits; _ }, Value.Vint64 n when bits <= 32 ->
+      write_var_int vc ~check kind buf (Int64.to_int n)
+  | Encoding.Kint { signed; _ }, Value.Vint64 n ->
+      Encoding.var_put_int64 vc ~check ~signed buf n
+  | Encoding.Kint _, _ -> invalid_arg "Codec.as_int64"
 
 let read_var (vc : Encoding.varcodec) (kind : Encoding.atom_kind) r : Value.t =
-  wrap_var (fun () ->
-      match kind with
-      | Encoding.Kbool -> Value.Vbool (vc.Encoding.v_get_bool r)
-      | Encoding.Kchar ->
-          let n = vc.Encoding.v_get_int ~signed:false r in
-          if Int64.unsigned_compare n 255L > 0 then
-            raise (Decode_error (Printf.sprintf "invalid character %Ld" n));
-          Value.Vchar (Char.chr (Int64.to_int n))
-      | Encoding.Kint { bits; signed } ->
-          let n = vc.Encoding.v_get_int ~signed r in
-          if Encoding.canon_int ~bits ~signed n <> n then
-            raise
-              (Decode_error
-                 (Printf.sprintf "integer %Ld out of range for %d-bit field" n
-                    bits));
-          if bits <= 32 then Value.Vint (Int64.to_int n) else Value.Vint64 n
-      | Encoding.Kfloat { bits } ->
-          Value.Vfloat (vc.Encoding.v_get_float ~bits r))
+  match
+    match kind with
+    | Encoding.Kbool -> Value.Vbool (Encoding.var_get_bool vc r)
+    | Encoding.Kchar -> Value.Vchar (Char.unsafe_chr (Encoding.var_get_int vc kind r))
+    | Encoding.Kint { bits; _ } when bits <= 32 ->
+        Value.Vint (Encoding.var_get_int vc kind r)
+    | Encoding.Kint { signed; _ } ->
+        Value.Vint64 (Encoding.var_get_int64 vc ~signed r)
+    | Encoding.Kfloat { bits } -> Value.Vfloat (Encoding.var_get_float vc ~bits r)
+  with
+  | v -> v
+  | exception Encoding.Var_error m -> raise (Decode_error m)
+
+let read_var_ints (vc : Encoding.varcodec) (kind : Encoding.atom_kind) r n =
+  let out = Array.make n 0 in
+  (match
+     for i = 0 to n - 1 do
+       Array.unsafe_set out i (Encoding.var_get_int vc kind r)
+     done
+   with
+  | () -> ()
+  | exception Encoding.Var_error m -> raise (Decode_error m));
+  out
 
 let write_vlen (vc : Encoding.varcodec) ~check (lk : Encoding.lenkind) buf n =
-  vc.Encoding.v_put_len ~check buf lk n
+  Encoding.var_put_len vc ~check buf lk n
 
 let read_vlen (vc : Encoding.varcodec) (lk : Encoding.lenkind) r =
-  wrap_var (fun () -> vc.Encoding.v_get_len r lk)
+  match Encoding.var_get_len vc r lk with
+  | n -> n
+  | exception Encoding.Var_error m -> raise (Decode_error m)
 
 let const_to_value (c : Mint.const) : Value.t =
   match c with

@@ -53,19 +53,24 @@ val admit_count : Mbuf.reader -> width:int -> int -> unit
     least [width] bytes on the wire, before anything is allocated for
     them: it raises [Mbuf.Short_buffer] when fewer than [n * width] bytes
     remain, so a hostile count costs no more than the bytes it arrived
-    in.  [width] is the atom size on fixed encodings and 1 on msgpack and
-    CBOR, where every item has at least a head byte; [width = 0] admits
-    any count. *)
+    in.  [width] is the element type's {!Encoding.min_width}: the atom
+    size on fixed encodings, 1 for a msgpack or CBOR scalar (every item
+    has at least a head byte), the sum over a struct's fields;
+    [width = 0] admits any count. *)
 
 val skip_pad : Mbuf.reader -> pad_unit:int -> int -> unit
 (** Skip the trailing padding of an [n]-byte variable-length run up to
     the encoding's pad unit. *)
 
 (** Value-dependent wire formats (msgpack, CBOR).  One mapping from
-    {!Value.t} to the encoding's primitive hooks, shared by every
+    {!Value.t} to the encoding's emitters and parsers, shared by every
     engine, so differential parity across engines holds by construction.
-    All four translate {!Encoding.Var_error} into {!Decode_error};
-    truncation surfaces as [Mbuf.Short_buffer] like the fixed paths. *)
+    Heads are written in place and parsed without allocating: bools,
+    chars, integers of up to 32 bits and every length travel as native
+    [int]s; only 64-bit integer fields go through [int64] (see
+    {!Encoding.varcodec}).  The readers translate {!Encoding.Var_error}
+    into {!Decode_error}; truncation surfaces as [Mbuf.Short_buffer]
+    like the fixed paths. *)
 
 val write_var :
   Encoding.varcodec -> check:bool -> Encoding.atom_kind -> Mbuf.t ->
@@ -75,11 +80,24 @@ val write_var :
     fixed-size store performs).  [check:false] requires the caller to
     have reserved the atom's worst case. *)
 
+val write_var_int :
+  Encoding.varcodec -> check:bool -> Encoding.atom_kind -> Mbuf.t -> int ->
+  unit
+(** [write_var_int vc ~check kind buf n] writes exactly what
+    [write_var vc ~check kind buf (Value.Vint n)] writes, without the
+    [Value.t]: the element loop of an int-array encode. *)
+
 val read_var :
   Encoding.varcodec -> Encoding.atom_kind -> Mbuf.reader -> Value.t
 (** Checked parse of one scalar; rejects non-minimal encodings and
     values outside the declared field width, so every decoder engine
     accepts exactly the same inputs. *)
+
+val read_var_ints :
+  Encoding.varcodec -> Encoding.atom_kind -> Mbuf.reader -> int -> int array
+(** [read_var_ints vc kind r n]: [n] consecutive integer heads of a
+    [Kchar] or up-to-32-bit [Kint] kind, each parsed and checked as
+    {!read_var} parses it, straight into an [int array]. *)
 
 val write_vlen :
   Encoding.varcodec -> check:bool -> Encoding.lenkind -> Mbuf.t -> int ->

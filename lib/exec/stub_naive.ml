@@ -580,12 +580,13 @@ let value_decoder cfg (enc : Encoding.t) mint named :
         invalid_arg "Stub_naive: array PRES mismatch"
   and elem_decoder elem sub =
     (* array elements carry no Mach descriptor of their own; the width is
-       the fewest wire bytes one element takes, for count admission
-       (0, admitting any count, for aggregate elements) *)
-    match Encoding.atom_of_mint (Mint.get mint elem) with
-    | Some kind ->
-        (read_scalar kind, if vc <> None then 1 else (atom_of kind).Mplan.size)
-    | None -> (dec elem sub, 0)
+       the fewest wire bytes one element takes, for count admission *)
+    let d =
+      match Encoding.atom_of_mint (Mint.get mint elem) with
+      | Some kind -> read_scalar kind
+      | None -> dec elem sub
+    in
+    (d, Encoding.min_width enc mint elem)
   and decode_elements d ~width r n as_int_array =
     Codec.admit_count r ~width n;
     if as_int_array then begin

@@ -442,7 +442,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
     | Mplan.Put_const_str { s; nul = _; pad = _ } when vc <> None ->
         let vcc = Option.get vc in
         put_image ~check:true
-          (vcc.Encoding.v_len_image Encoding.Lstr (String.length s) ^ s)
+          (Encoding.var_len_image vcc Encoding.Lstr (String.length s) ^ s)
     | Mplan.Put_const_str { s; nul; pad } ->
         let image = const_str_image ~be s nul pad in
         let n = Bytes.length image in
@@ -567,23 +567,23 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
         let kind = atom.Mplan.kind in
         (* one worst-case reservation for the whole run, then unchecked
            minimal-width emits per element *)
-        let worst =
-          match vcc.Encoding.v_size kind with
-          | Encoding.Var { worst } -> worst
-          | Encoding.Fixed n -> n
-        in
+        let worst = Plan_compile.vh_worst_of kind in
         fun buf env ->
           let v = a env in
           let n = value_len v in
           if with_len then Codec.write_vlen vcc ~check:true Encoding.Larr buf n;
           Mbuf.ensure buf (n * worst);
-          let write_elem (e : Value.t) =
-            Codec.write_var vcc ~check:false kind buf e
-          in
           (match v with
           | Value.Vint_array elems ->
-              Array.iter (fun x -> write_elem (Value.Vint x)) elems
-          | Value.Varray elems -> Array.iter write_elem elems
+              for i = 0 to n - 1 do
+                Codec.write_var_int vcc ~check:false kind buf
+                  (Array.unsafe_get elems i)
+              done
+          | Value.Varray elems ->
+              for i = 0 to n - 1 do
+                Codec.write_var vcc ~check:false kind buf
+                  (Array.unsafe_get elems i)
+              done
           | _ -> invalid_arg "Stub_opt: atom array over non-array")
     | Mplan.Put_atom_array { arr; atom; with_len; via = _ } ->
         (* never borrowed: the copy doubles as the byte-order transform *)
@@ -651,7 +651,7 @@ let compile_ops ~(enc : Encoding.t) ~subs ops : Mbuf.t -> env -> unit =
         match (vh_image, vh_src) with
         | Some img, _ -> put_image ~check:vh_check img
         | None, Mplan.Vh_const v ->
-            put_image ~check:vh_check (vcc.Encoding.v_const_image vh_kind v)
+            put_image ~check:vh_check (Encoding.var_const_image vcc vh_kind v)
         | None, Mplan.Vh_value rv ->
             let a = compile_rv rv in
             fun buf env ->
@@ -1225,18 +1225,21 @@ let decoder_of_dplan ~(enc : Encoding.t) (plan : Dplan.plan) : decoder =
         (* every element is header-checked on its own: the advance is
            data-dependent, so no run-wide reservation is possible; the
            count is still admitted at one head byte per element *)
-        fun r slots ->
-          let n = get_n r in
-          Codec.admit_count r ~width:1 n;
-          let out = Array.make n Value.Vvoid in
-          for i = 0 to n - 1 do
-            out.(i) <- Codec.read_var vcc kind r
-          done;
-          slots.(slot) <-
-            (match kind with
-            | Encoding.Kint { bits; _ } when bits <= 32 ->
-                Value.Vint_array (Array.map Codec.as_int out)
-            | _ -> Value.Varray out)
+        (match kind with
+        | Encoding.Kint { bits; _ } when bits <= 32 ->
+            fun r slots ->
+              let n = get_n r in
+              Codec.admit_count r ~width:1 n;
+              slots.(slot) <- Value.Vint_array (Codec.read_var_ints vcc kind r n)
+        | _ ->
+            fun r slots ->
+              let n = get_n r in
+              Codec.admit_count r ~width:1 n;
+              let out = Array.make n Value.Vvoid in
+              for i = 0 to n - 1 do
+                out.(i) <- Codec.read_var vcc kind r
+              done;
+              slots.(slot) <- Value.Varray out)
     | Dplan.D_get_atom_array { count; atom; slot; _ } -> (
         let get_n = read_count count in
         match (atom.Mplan.kind, atom.Mplan.size) with
@@ -1260,7 +1263,7 @@ let decoder_of_dplan ~(enc : Encoding.t) (plan : Dplan.plan) : decoder =
                 | Encoding.Kint { bits; _ } when bits <= 32 ->
                     Value.Vint_array (Array.map Codec.as_int out)
                 | _ -> Value.Varray out))
-    | Dplan.D_loop { count; ensure; frame; slot } -> (
+    | Dplan.D_loop { count; ensure; min_width; frame; slot } -> (
         let get_n = read_count count in
         let fx = compile_frame frame in
         let run = fx.fx_run and build = fx.fx_build in
@@ -1280,6 +1283,7 @@ let decoder_of_dplan ~(enc : Encoding.t) (plan : Dplan.plan) : decoder =
         | None ->
             fun r slots ->
               let n = get_n r in
+              Codec.admit_count r ~width:min_width n;
               let out = Array.make n Value.Vvoid in
               let fslots = Array.make nslots Value.Vvoid in
               for i = 0 to n - 1 do
@@ -1375,7 +1379,7 @@ let decoder_of_dplan ~(enc : Encoding.t) (plan : Dplan.plan) : decoder =
                 | Value.Vchar c -> Int64.of_int (Char.code c)
                 | _ -> raise (Codec.Decode_error "bad constant")
               in
-              if got <> expect then
+              if not (Int64.equal got expect) then
                 raise
                   (Codec.Decode_error
                      (Printf.sprintf "expected constant %Ld, found %Ld" expect

@@ -52,9 +52,16 @@ type dop =
       headed : bool;
       slot : int;
     }
-  | D_loop of { count : dcount; ensure : int option; frame : frame; slot : int }
+  | D_loop of {
+      count : dcount;
+      ensure : int option;
+      min_width : int;
+      frame : frame;
+      slot : int;
+    }
       (* [ensure]: every iteration advances exactly that many bytes, so
-         one [need count * ensure] covers the whole run *)
+         one [need count * ensure] covers the whole run; otherwise the
+         count is admitted at [min_width] bytes per element *)
   | D_opt of { frame : frame; slot : int }
   | D_switch of {
       discrim_atom : Mplan.atom option;  (* None: string-keyed *)
@@ -134,10 +141,10 @@ let rec pp_op ppf = function
       Format.fprintf ppf "s%d <- get_atom_array %a %a%s" slot pp_count count
         pp_atom atom
         (if headed then " headed" else "")
-  | D_loop { count; ensure; frame; slot } ->
+  | D_loop { count; ensure; min_width; frame; slot } ->
       Format.fprintf ppf "@[<v 2>s%d <- for %a%s {" slot pp_count count
         (match ensure with
-        | None -> ""
+        | None -> Printf.sprintf " admit*%d" min_width
         | Some u -> Printf.sprintf " ensure*%d" u);
       pp_frame_body ppf frame;
       Format.fprintf ppf "@]@,}"

@@ -74,10 +74,19 @@ type dop =
               dependent, so the op never rides a hoisted reservation *)
       slot : int;
     }
-  | D_loop of { count : dcount; ensure : int option; frame : frame; slot : int }
+  | D_loop of {
+      count : dcount;
+      ensure : int option;
+      min_width : int;
+      frame : frame;
+      slot : int;
+    }
       (** [ensure = Some u]: every iteration advances exactly [u]
           bytes, so the executor reserves [count * u] once and interior
-          chunks run check-free *)
+          chunks run check-free.  [min_width]: the fewest bytes one
+          element occupies on the wire ({!Encoding.min_width}); with
+          [ensure = None] the executor admits the count against it
+          before allocating the element array. *)
   | D_opt of { frame : frame; slot : int }
       (** optional pointer: wire count 0 or 1 *)
   | D_switch of {

@@ -388,11 +388,12 @@ let rec clear_dchecks ops =
       match op with
       | Dplan.D_chunk { size; items; check = _ } ->
           Dplan.D_chunk { size; items; check = false }
-      | Dplan.D_loop { count; ensure; frame; slot } ->
+      | Dplan.D_loop { count; ensure; min_width; frame; slot } ->
           Dplan.D_loop
             {
               count;
               ensure;
+              min_width;
               frame =
                 { frame with Dplan.f_ops = clear_dchecks frame.Dplan.f_ops };
               slot;
@@ -426,7 +427,7 @@ and d_fusable_atom (atom : Mplan.atom) =
 
 and optimize_dop rw st (op : Dplan.dop) : Dplan.dop list =
   match op with
-  | Dplan.D_loop { count; ensure; frame; slot } -> (
+  | Dplan.D_loop { count; ensure; min_width; frame; slot } -> (
       let frame = optimize_dframe rw st frame in
       match frame with
       | {
@@ -446,12 +447,12 @@ and optimize_dop rw st (op : Dplan.dop) : Dplan.dop list =
           [ Dplan.D_get_atom_array { count; atom; headed = false; slot } ]
       | _ -> (
       match ensure with
-      | Some _ -> [ Dplan.D_loop { count; ensure; frame; slot } ]
+      | Some _ -> [ Dplan.D_loop { count; ensure; min_width; frame; slot } ]
       | None -> (
           if
             (not rw.rw_hoist)
             || not (d_has_checked_chunk frame.Dplan.f_ops)
-          then [ Dplan.D_loop { count; ensure; frame; slot } ]
+          then [ Dplan.D_loop { count; ensure; min_width; frame; slot } ]
           else
             match exact_advance frame.Dplan.f_ops with
             | Some u when u > 0 ->
@@ -461,6 +462,7 @@ and optimize_dop rw st (op : Dplan.dop) : Dplan.dop list =
                     {
                       count;
                       ensure = Some u;
+                      min_width;
                       frame =
                         {
                           frame with
@@ -469,7 +471,7 @@ and optimize_dop rw st (op : Dplan.dop) : Dplan.dop list =
                       slot;
                     };
                 ]
-            | _ -> [ Dplan.D_loop { count; ensure; frame; slot } ])))
+            | _ -> [ Dplan.D_loop { count; ensure; min_width; frame; slot } ])))
   | Dplan.D_opt { frame; slot } ->
       [ Dplan.D_opt { frame = optimize_dframe rw st frame; slot } ]
   | Dplan.D_switch { discrim_atom; arms; default; slot } ->

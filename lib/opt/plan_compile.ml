@@ -36,10 +36,10 @@ let max_size ~enc ~mint idx pres =
         match Encoding.atom_of_mint def with
         | Some kind -> (
             match enc.Encoding.var with
-            | Some vcc ->
+            | Some _ ->
                 (* value-dependent scalar: reserve its worst-case width *)
                 Some
-                  (match vcc.Encoding.v_size kind with
+                  (match Encoding.var_size kind with
                   | Encoding.Fixed n -> n
                   | Encoding.Var { worst } -> worst)
             | None ->
@@ -97,9 +97,9 @@ let max_size ~enc ~mint idx pres =
           match Encoding.atom_of_mint (Mint.get mint discrim) with
           | Some kind -> (
               match enc.Encoding.var with
-              | Some vcc ->
+              | Some _ ->
                   Some
-                    (match vcc.Encoding.v_size kind with
+                    (match Encoding.var_size kind with
                     | Encoding.Fixed n -> n
                     | Encoding.Var { worst } -> worst)
               | None ->
@@ -276,8 +276,8 @@ let emit_const_str st s =
    chunkable; everything else becomes a [Put_varhead] that reserves its
    worst case and advances by the actual minimal width. *)
 
-let vh_worst_of (vcc : Encoding.varcodec) kind =
-  match vcc.Encoding.v_size kind with
+let vh_worst_of kind =
+  match Encoding.var_size kind with
   | Encoding.Fixed n -> n
   | Encoding.Var { worst } -> worst
 
@@ -292,7 +292,7 @@ let put_var_scalar st (vcc : Encoding.varcodec) kind src =
             {
               off;
               atom = u8_atom;
-              value = Int64.of_int (vcc.Encoding.v_float_tag ~bits);
+              value = Int64.of_int (Encoding.var_float_tag vcc ~bits);
             });
       let payload = { Mplan.kind; size = bits / 8; align = 1 } in
       put_atom st payload (fun off ->
@@ -302,7 +302,7 @@ let put_var_scalar st (vcc : Encoding.varcodec) kind src =
         (Mplan.Put_varhead
            {
              vh_kind = kind;
-             vh_worst = vh_worst_of vcc kind;
+             vh_worst = vh_worst_of kind;
              vh_check = not st.covered;
              vh_src = Mplan.Vh_value src;
              vh_image = None;
@@ -314,10 +314,10 @@ let put_var_const st (vcc : Encoding.varcodec) kind value =
     (Mplan.Put_varhead
        {
          vh_kind = kind;
-         vh_worst = vh_worst_of vcc kind;
+         vh_worst = vh_worst_of kind;
          vh_check = not st.covered;
          vh_src = Mplan.Vh_const value;
-         vh_image = Some (vcc.Encoding.v_const_image kind value);
+         vh_image = Some (Encoding.var_const_image vcc kind value);
        });
   lose_alignment st 1
 

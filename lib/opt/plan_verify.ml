@@ -366,7 +366,7 @@ let rec check_frame path ~subs ~covered (f : Dplan.frame) =
             "atom array stride %d is not a multiple of its alignment %d"
             atom.Mplan.size atom.Mplan.align;
         write path slot
-    | Dplan.D_loop { count; ensure; frame; slot } ->
+    | Dplan.D_loop { count; ensure; frame; slot; min_width = _ } ->
         check_dcount path count;
         write path slot;
         (match ensure with

@@ -488,6 +488,52 @@ let admission_tests =
         let out = Mbuf.create 64 in
         short_and_small "cdr->xdr relay of sequence<int16>" (fun () ->
             fwd (Mbuf.reader_of_bytes wire) out));
+    Alcotest.test_case "hostile struct counts are rejected before allocation"
+      `Quick (fun () ->
+        (* struct elements decode through a per-element loop, not an
+           atom-array read: the count is admitted at the struct's
+           minimum wire width *)
+        List.iter
+          (fun (enc, nfields, header) ->
+            let mint = Mint.create () in
+            let long = Mint.int32 mint in
+            let fields = List.init nfields (fun i -> (Printf.sprintf "f%d" i, long)) in
+            let elem = Mint.struct_ mint fields in
+            let idx = Mint.array mint ~elem ~min_len:0 ~max_len:None in
+            let pres =
+              Pres.Counted_seq
+                {
+                  len_field = "len";
+                  buf_field = "val";
+                  elem = Pres.Struct (List.map (fun (f, _) -> (f, Pres.Direct)) fields);
+                }
+            in
+            let droots = [ Stub_opt.Dvalue (idx, pres) ] in
+            let wire = hostile_header enc in
+            Alcotest.(check string)
+              (enc.Encoding.name ^ " header bytes") header
+              (String.concat " "
+                 (List.map
+                    (fun c -> Printf.sprintf "%02x" (Char.code c))
+                    (List.of_seq (Bytes.to_seq wire))));
+            List.iter
+              (fun (engine, (d : Stub_opt.decoder)) ->
+                short_and_small
+                  (Printf.sprintf "%s %s sequence<struct of %d longs>" engine
+                     enc.Encoding.name nfields)
+                  (fun () -> ignore (d (Mbuf.reader_of_bytes wire))))
+              [
+                ("plan", Stub_opt.compile_decoder ~enc ~mint ~named:[] droots);
+                ( "naive",
+                  Stub_naive.compile_decoder ~config:naive_config ~enc ~mint
+                    ~named:[] droots );
+                ("interp", Stub_interp.compile_decoder ~enc ~mint ~named:[] droots);
+              ])
+          [
+            (Encoding.msgpack, 4, "dd 00 0f 42 40");
+            (Encoding.cbor, 4, "9a 00 0f 42 40");
+            (Encoding.xdr, 1, "00 0f 42 40");
+          ]);
   ]
 
 (* -- zero-copy accounting --------------------------------------------- *)

@@ -342,6 +342,7 @@ let negative_tests =
                   {
                     count = Dplan.Dc_fixed 2;
                     ensure = Some u;
+                    min_width = u;
                     frame =
                       {
                         Dplan.f_nslots = 1;
@@ -421,6 +422,7 @@ let scalar_loop ?(atom = achar) ?(size = atom.Mplan.size) ?(check = true) ()
           {
             count = Dplan.Dc_fixed 3;
             ensure = None;
+            min_width = size;
             frame =
               {
                 Dplan.f_nslots = 1;

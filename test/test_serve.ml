@@ -385,10 +385,12 @@ let test_truncated_body () =
       | [ (Rpc_serve.Sok, 5, _) ] -> ()
       | _ -> Alcotest.fail "connection should recover after a bad body"))
 
-(* A 5-byte msgpack header announcing 10^6 ints, with no payload behind
-   it: the request is rejected from its count alone, before the 8 MB
-   element array is allocated, and never poisons a peer connection. *)
-let test_hostile_count () =
+(* A 5-byte msgpack header announcing 10^6 elements, with no payload
+   behind it: the request is rejected from its count alone, before the
+   element array is allocated, and never poisons a peer connection.
+   [tail] is the one-element sequence that ends the smallest body of
+   [payload]; it is swapped for an array32 header (0xdd). *)
+let hostile_count_scenario payload ~tail =
   with_pool_check (fun () ->
       let sim = Sim_core.create () in
       let ingress = Link.ethernet_100 ~sim in
@@ -396,18 +398,14 @@ let test_hostile_count () =
       let t = Rpc_serve.create ~sim ~ingress ~egress () in
       register_all t Encoding.msgpack;
       let frame ~seq ~bytes =
-        Rpc_serve.request_frame (spec_for Encoding.msgpack `Ints) ~seq
-          [| Paper_fixtures.payload `Ints ~bytes |]
+        Rpc_serve.request_frame (spec_for Encoding.msgpack payload) ~seq
+          [| Paper_fixtures.payload payload ~bytes |]
       in
-      (* the smallest send_ints body ends in the one-element sequence
-         [0] (fixarray header 0x91, then 0x00); swap those two bytes for
-         an array32 header (0xdd) announcing 10^6 elements *)
       let small = frame ~seq:9 ~bytes:0 in
-      let n = Bytes.length small in
-      check Alcotest.string "body tail" "\x91\x00"
-        (Bytes.sub_string small (n - 2) 2);
+      let n = Bytes.length small and k = String.length tail in
+      check Alcotest.string "body tail" tail (Bytes.sub_string small (n - k) k);
       let hostile =
-        Bytes.cat (Bytes.sub small 0 (n - 2))
+        Bytes.cat (Bytes.sub small 0 (n - k))
           (Bytes.of_string "\xdd\x00\x0f\x42\x40")
       in
       Bytes.set_int32_be hostile 0 (Int32.of_int (Bytes.length hostile - 4));
@@ -432,6 +430,16 @@ let test_hostile_count () =
       match List.concat_map Rpc_serve.parse_replies !got_ok with
       | [ (Rpc_serve.Sok, 10, _) ] -> ()
       | _ -> Alcotest.fail "the peer connection should still be served")
+
+(* the smallest send_ints body ends in the sequence [0]: fixarray
+   header 0x91, then 0x00 *)
+let test_hostile_count () = hostile_count_scenario `Ints ~tail:"\x91\x00"
+
+(* the smallest send_rects body ends in one rect {(0, 0), (1, -1)}: its
+   elements decode through the struct loop, admitted at four head bytes
+   per rect *)
+let test_hostile_struct_count () =
+  hostile_count_scenario `Rects ~tail:"\x91\x00\x00\x01\xff"
 
 let test_death_with_pending_reply () =
   with_recorder @@ fun () ->
@@ -655,6 +663,8 @@ let suite =
           test_death_mid_request;
         Alcotest.test_case "truncated body" `Quick test_truncated_body;
         Alcotest.test_case "hostile element count" `Quick test_hostile_count;
+        Alcotest.test_case "hostile struct count" `Quick
+          test_hostile_struct_count;
         Alcotest.test_case "connection dies with reply pending" `Quick
           test_death_with_pending_reply;
       ] );
